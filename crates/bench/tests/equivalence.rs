@@ -775,3 +775,47 @@ fn packet_dnn_matches_pre_refactor_reports() {
         assert_eq!(run_packet_dnn(w), exp, "packet dnn diverged for {w:?}");
     }
 }
+
+/// PATRONoC with three register slices per link channel, saturated
+/// uniform copies: the one golden that drives a channel's extra stages
+/// (every other golden runs one-stage links). Returns the golden fields
+/// and the `state_digest`.
+fn run_patronoc_three_stage(threads: usize) -> (Golden, u64) {
+    let axi = AxiParams::new(32, 32, 4, 8).expect("valid parameters");
+    let mut cfg = NocConfig::new(axi, Topology::mesh4x4());
+    cfg.link_stages = 3;
+    cfg.threads = threads;
+    let mut sim = NocSim::new(cfg).expect("valid configuration");
+    let mut src = UniformRandom::new_copies(golden_uniform_cfg(
+        1.0,
+        1_000,
+        defaults::fig4_patronoc_seed(1_000, 2),
+    ));
+    let r = sim.run(&mut src, WARMUP + WINDOW, WARMUP);
+    (Golden::of(&r), r.state_digest)
+}
+
+#[test]
+fn patronoc_three_stage_links_match_pinned_report() {
+    let expected = (
+        golden(
+            12000,
+            190150,
+            465,
+            2048,
+            0x4031b5877f000000,
+            0x4079014eba14eba1,
+        ),
+        0x3cef6e86424f4561,
+    );
+    let threads = std::env::var("BENCH_THREADS")
+        .ok()
+        .and_then(|v| v.parse::<usize>().ok())
+        .unwrap_or(1);
+    assert_eq!(run_patronoc_three_stage(1), expected, "serial");
+    assert_eq!(
+        run_patronoc_three_stage(threads),
+        expected,
+        "{threads} threads"
+    );
+}

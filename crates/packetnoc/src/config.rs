@@ -111,7 +111,10 @@ impl PacketNocConfig {
     /// comparator, so configuration errors are programming errors here.
     pub fn assert_valid(&self) {
         assert!(self.cols >= 2 && self.rows >= 1, "mesh too small");
-        assert!(self.vcs >= 1 && self.vcs <= 16, "vcs out of range");
+        assert!(
+            (1..=crate::router::MAX_VCS).contains(&self.vcs),
+            "vcs out of range"
+        );
         assert!(self.buf_flits >= 2, "buffers must hold at least 2 flits");
         assert!(self.flit_bytes >= 1, "flit must carry at least a byte");
         assert!(self.packet_flits >= 2, "need head + at least one more flit");

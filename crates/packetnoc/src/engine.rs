@@ -10,7 +10,7 @@
 
 use crate::config::PacketNocConfig;
 use crate::ni::NetworkInterface;
-use crate::router::{Flit, FlitKind, Port, Router, LOCAL, PORTS};
+use crate::router::{Delivery, Flit, FlitKind, Port, Router, LOCAL, PORTS};
 use crate::shard::{ShardBufView, Sharding};
 use crate::snapcodec::{corrupt, decode_transfer, encode_transfer};
 use crate::txn::{TxHandle, TxRecord};
@@ -65,6 +65,9 @@ pub struct PacketNocSim {
     scratch_bufs: Vec<usize>,
     scratch_nis: Vec<usize>,
     scratch_routers: Vec<usize>,
+    /// Local-port deliveries of this cycle's router steps, drained into
+    /// [`on_delivery`](Self::on_delivery) (kept to reuse its allocation).
+    scratch_deliveries: Vec<Delivery>,
     /// Cumulative buffer refreshes + NI/router steps, counted identically
     /// in both stepping modes (the deterministic work measure).
     work_items: u64,
@@ -96,7 +99,9 @@ impl PacketNocSim {
     pub fn new(cfg: PacketNocConfig) -> Self {
         cfg.assert_valid();
         let n = cfg.num_nodes();
-        let routers = (0..n).map(|i| Router::new(i, cfg.cols, cfg.vcs)).collect();
+        let routers = (0..n)
+            .map(|i| Router::new(i, cfg.cols, cfg.rows, cfg.vcs))
+            .collect();
         let num_bufs = n * PORTS * cfg.vcs;
         let bufs = (0..num_bufs).map(|_| Fifo::new(cfg.buf_flits)).collect();
         let nis = (0..n).map(|i| NetworkInterface::new(i, &cfg)).collect();
@@ -152,6 +157,7 @@ impl PacketNocSim {
             scratch_bufs: Vec::with_capacity(num_bufs),
             scratch_nis: Vec::with_capacity(n),
             scratch_routers: Vec::with_capacity(n),
+            scratch_deliveries: Vec::new(),
             work_items: 0,
             saturated: false,
             wall_cycles: 0,
@@ -499,13 +505,20 @@ impl PacketNocSim {
         }
         // Routers (no wake bookkeeping in full-sweep mode).
         let neighbor = move |node: usize, p: Port| Self::neighbor(cols, rows, node, p);
-        let mut completions: Vec<(usize, u64)> = Vec::new();
-        for ri in 0..self.routers.len() {
-            let delivered = self.routers[ri].step(self.bufs.as_mut_slice(), &neighbor, &mut |_| {});
-            for d in delivered {
-                self.on_delivery(d.flit, &mut completions);
-            }
+        let mut delivered = std::mem::take(&mut self.scratch_deliveries);
+        for router in &mut self.routers {
+            router.step(
+                self.bufs.as_mut_slice(),
+                &neighbor,
+                &mut |_| {},
+                &mut delivered,
+            );
         }
+        let mut completions: Vec<(usize, u64)> = Vec::new();
+        for d in delivered.drain(..) {
+            self.on_delivery(d.flit, &mut completions);
+        }
+        self.scratch_deliveries = delivered;
         for (src, id) in completions {
             source.on_complete(src, id, self.now);
         }
@@ -621,17 +634,23 @@ impl PacketNocSim {
         // router wakes nobody; its own still-occupied input buffers keep
         // it live).
         let neighbor = move |node: usize, p: Port| Self::neighbor(cols, rows, node, p);
-        let mut completions: Vec<(usize, u64)> = Vec::new();
+        let mut delivered = std::mem::take(&mut self.scratch_deliveries);
         for &ri in &routers_now {
             let hot_bufs = &mut self.hot_bufs;
-            let delivered =
-                self.routers[ri].step(self.bufs.as_mut_slice(), &neighbor, &mut |didx| {
+            self.routers[ri].step(
+                self.bufs.as_mut_slice(),
+                &neighbor,
+                &mut |didx| {
                     hot_bufs.insert(didx);
-                });
-            for d in delivered {
-                self.on_delivery(d.flit, &mut completions);
-            }
+                },
+                &mut delivered,
+            );
         }
+        let mut completions: Vec<(usize, u64)> = Vec::new();
+        for d in delivered.drain(..) {
+            self.on_delivery(d.flit, &mut completions);
+        }
+        self.scratch_deliveries = delivered;
         for (src, id) in completions {
             source.on_complete(src, id, self.now);
         }
@@ -712,9 +731,12 @@ impl PacketNocSim {
                 for node in ctx.nodes.clone() {
                     // SAFETY: ctx.nodes is region r's node band; foreign
                     // buffers resolve to mirrors inside the view.
-                    let delivered =
-                        unsafe { routers.get_mut(node) }.step(&mut view, &neighbor, &mut |_| {});
-                    ctx.deliveries.extend(delivered);
+                    unsafe { routers.get_mut(node) }.step(
+                        &mut view,
+                        &neighbor,
+                        &mut |_| {},
+                        &mut ctx.deliveries,
+                    );
                 }
             });
         }

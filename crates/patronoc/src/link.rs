@@ -56,9 +56,25 @@ pub struct RespBeat {
 
 /// A registered channel: `stages` chained depth-2 FIFOs, each adding one
 /// cycle of latency at full throughput.
+///
+/// The consumer-end stage is held inline, so the default one-stage channel
+/// peeks, pops and begins its cycle without a pointer chase and owns no
+/// heap block of stages; only extra register slices live in a `Vec`.
 #[derive(Debug, Clone)]
 pub struct Channel<T> {
-    stages: Vec<Fifo<T>>,
+    /// The register slices ahead of the consumer end, producer end first
+    /// (empty for a one-stage channel).
+    upstream: Vec<Fifo<T>>,
+    /// The consumer-end stage.
+    last: Fifo<T>,
+}
+
+/// Moves one beat from `from` into the next stage `to`, if both allow it.
+fn advance<T>(from: &mut Fifo<T>, to: &mut Fifo<T>) {
+    if to.can_push() && from.can_pop() {
+        let v = from.pop().expect("can_pop checked");
+        assert!(to.push(v).is_ok(), "can_push checked above");
+    }
 }
 
 impl<T> Channel<T> {
@@ -73,7 +89,20 @@ impl<T> Channel<T> {
     pub fn new(stages: usize) -> Self {
         assert!(stages >= 1, "need at least one register stage");
         Self {
-            stages: (0..stages).map(|_| Fifo::new(2)).collect(),
+            upstream: (1..stages).map(|_| Fifo::new(2)).collect(),
+            last: Fifo::new(2),
+        }
+    }
+
+    /// The producer-end stage.
+    fn first(&self) -> &Fifo<T> {
+        self.upstream.first().unwrap_or(&self.last)
+    }
+
+    fn first_mut(&mut self) -> &mut Fifo<T> {
+        match self.upstream.first_mut() {
+            Some(s) => s,
+            None => &mut self.last,
         }
     }
 
@@ -85,18 +114,20 @@ impl<T> Channel<T> {
     /// liveness falls out of the snapshot walk for free, which keeps the
     /// saturated hot path as fast as the unconditional sweep.
     pub fn begin_cycle(&mut self) -> bool {
-        let mut occupied = false;
-        for s in &mut self.stages {
+        self.last.begin_cycle();
+        let mut occupied = !self.last.is_empty();
+        for s in &mut self.upstream {
             s.begin_cycle();
             occupied |= !s.is_empty();
         }
         // Advance the internal pipeline back to front so a beat moves at
         // most one stage per cycle (total occupancy is unchanged).
-        for i in (0..self.stages.len().saturating_sub(1)).rev() {
-            if self.stages[i + 1].can_push() && self.stages[i].can_pop() {
-                let v = self.stages[i].pop().expect("can_pop checked");
-                assert!(self.stages[i + 1].push(v).is_ok(), "can_push checked above");
-            }
+        if let Some(prev) = self.upstream.last_mut() {
+            advance(prev, &mut self.last);
+        }
+        for i in (1..self.upstream.len()).rev() {
+            let (front, back) = self.upstream.split_at_mut(i);
+            advance(&mut front[i - 1], &mut back[0]);
         }
         occupied
     }
@@ -104,7 +135,7 @@ impl<T> Channel<T> {
     /// Whether the producer can push this cycle.
     #[must_use]
     pub fn can_push(&self) -> bool {
-        self.stages[0].can_push()
+        self.first().can_push()
     }
 
     /// Pushes a beat into the first stage.
@@ -114,24 +145,24 @@ impl<T> Channel<T> {
     /// Panics if the channel is not ready; callers must check
     /// [`can_push`](Self::can_push).
     pub fn push(&mut self, v: T) {
-        assert!(self.stages[0].push(v).is_ok(), "push on full channel");
+        assert!(self.first_mut().push(v).is_ok(), "push on full channel");
     }
 
     /// Whether the consumer can pop this cycle.
     #[must_use]
     pub fn can_pop(&self) -> bool {
-        self.stages.last().expect("non-empty").can_pop()
+        self.last.can_pop()
     }
 
     /// The beat at the consumer end, if any.
     #[must_use]
     pub fn peek(&self) -> Option<&T> {
-        self.stages.last().expect("non-empty").peek()
+        self.last.peek()
     }
 
     /// Pops the beat at the consumer end.
     pub fn pop(&mut self) -> Option<T> {
-        self.stages.last_mut().expect("non-empty").pop()
+        self.last.pop()
     }
 
     /// Producer-side slots free in this cycle's snapshot — the count behind
@@ -139,20 +170,20 @@ impl<T> Channel<T> {
     /// a remote region exactly as many pushes as the real channel would.
     #[must_use]
     pub fn snap_free(&self) -> usize {
-        self.stages[0].snap_free()
+        self.first().snap_free()
     }
 
     /// The beats poppable this cycle at the consumer end, in pop order —
     /// the consumer-side snapshot a boundary mirror copies so a remote
     /// region can peek/pop without touching the channel.
     pub fn poppable(&self) -> impl Iterator<Item = &T> {
-        self.stages.last().expect("non-empty").poppable()
+        self.last.poppable()
     }
 
     /// Total beats currently in flight inside the channel.
     #[must_use]
     pub fn occupancy(&self) -> usize {
-        self.stages.iter().map(Fifo::len).sum()
+        self.upstream.iter().map(Fifo::len).sum::<usize>() + self.last.len()
     }
 
     /// Whether the channel holds no beats.
@@ -168,7 +199,7 @@ impl<T> Channel<T> {
     /// skip the channel without changing any observable behaviour.
     #[must_use]
     pub fn is_idle(&self) -> bool {
-        self.stages.iter().all(Fifo::is_idle)
+        self.last.is_idle() && self.upstream.iter().all(Fifo::is_idle)
     }
 
     /// Serializes every stage (producer end first) into a snapshot,
@@ -179,9 +210,10 @@ impl<T> Channel<T> {
         e: &mut simkit::snap::Encoder,
         mut f: impl FnMut(&mut simkit::snap::Encoder, &T),
     ) {
-        for s in &self.stages {
+        for s in &self.upstream {
             s.encode_with(e, &mut f);
         }
+        self.last.encode_with(e, &mut f);
     }
 
     /// Decodes a channel written by [`encode_with`](Self::encode_with)
@@ -193,10 +225,11 @@ impl<T> Channel<T> {
         mut f: impl FnMut(&mut simkit::snap::Decoder<'_>) -> Result<T, simkit::snap::SnapError>,
     ) -> Result<Self, simkit::snap::SnapError> {
         debug_assert!(stages >= 1, "channels always have a register stage");
-        let stages = (0..stages)
+        let upstream = (1..stages)
             .map(|_| Fifo::decode_with(d, 2, &mut f))
             .collect::<Result<Vec<_>, _>>()?;
-        Ok(Self { stages })
+        let last = Fifo::decode_with(d, 2, &mut f)?;
+        Ok(Self { upstream, last })
     }
 }
 

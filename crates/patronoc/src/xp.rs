@@ -21,7 +21,7 @@
 //! * **R** — as B, but bursts are forwarded atomically (no beat interleave
 //!   towards one upstream port, matching `axi_mux`'s locked R path).
 
-use crate::link::LinkView;
+use crate::link::{LinkView, ReqBeat, RespBeat};
 use crate::routing::{routing_table, RoutingAlgorithm};
 #[cfg(test)]
 use crate::routing::{xp_connectivity, Connectivity};
@@ -99,6 +99,18 @@ impl PortFifo {
         debug_assert!(self.len > 0, "pop from empty port fifo");
         self.head = (self.head + 1) % PORTS as u8;
         self.len -= 1;
+    }
+}
+
+/// A B or R channel head as a response stage reads it: the beat and the
+/// upstream source ([`IdRemapper::source_of`]) its ID maps back to.
+type RespHead = Option<(RespBeat, Option<SourceKey>)>;
+
+/// The input-port bit a response head returns to (0 if none or unmapped).
+fn returns_to(head: RespHead) -> u8 {
+    match head {
+        Some((_, Some(key))) => 1 << key.port,
+        _ => 0,
     }
 }
 
@@ -242,10 +254,45 @@ impl Xp {
         moved
     }
 
+    /// The request beat at the head of input link `in_idx`'s AW (`write`)
+    /// or AR channel, with the output port its destination routes to.
+    fn req_head<L: LinkView + ?Sized>(
+        &self,
+        links: &L,
+        in_idx: usize,
+        write: bool,
+    ) -> Option<(ReqBeat, usize)> {
+        let beat = if write {
+            links.aw_peek(in_idx)
+        } else {
+            links.ar_peek(in_idx)
+        }?;
+        Some((beat, usize::from(self.route[beat.dst])))
+    }
+
     /// AW (write = true) or AR (write = false) stage.
+    ///
+    /// Each input's head is read once into `heads`. A grant at (output
+    /// `o`, input `i`) changes only input `i`'s entry (its link head,
+    /// ordering guard and `w_route`) and output `o`'s remapper, which this
+    /// stage never visits again, so only input `i` is re-read.
     fn step_requests<L: LinkView + ?Sized>(&mut self, links: &mut L, write: bool) -> bool {
+        let mut heads = [None; PORTS];
+        // Bit o: some head routes to output o.
+        let mut wanted = 0u8;
+        for (i, head) in heads.iter_mut().enumerate() {
+            if let Some(in_idx) = self.in_links[i] {
+                *head = self.req_head(links, in_idx, write);
+                if let Some((_, o)) = *head {
+                    wanted |= 1 << o;
+                }
+            }
+        }
         let mut moved = false;
         for o in 0..PORTS {
+            if wanted >> o & 1 == 0 {
+                continue;
+            }
             let Some(out_idx) = self.out_links[o] else {
                 continue;
             };
@@ -257,28 +304,16 @@ impl Xp {
             if !out_ready {
                 continue;
             }
+            let (guards, remap) = if write {
+                (&self.aw_guard, &self.wr_remap[o])
+            } else {
+                (&self.ar_guard, &self.rd_remap[o])
+            };
             let mut elig = [false; PORTS];
             for (i, slot) in elig.iter_mut().enumerate() {
-                let Some(in_idx) = self.in_links[i] else {
+                let Some((beat, route)) = heads[i] else {
                     continue;
                 };
-                let beat = if write {
-                    links.aw_peek(in_idx)
-                } else {
-                    links.ar_peek(in_idx)
-                };
-                let Some(beat) = beat else { continue };
-                if self.route[beat.dst] as usize != o || !self.allowed[i][o] {
-                    continue;
-                }
-                let guard = if write {
-                    &self.aw_guard[i]
-                } else {
-                    &self.ar_guard[i]
-                };
-                if !guard.may_issue(beat.id, o) {
-                    continue;
-                }
                 // W-channel deadlock avoidance: at most one write burst per
                 // input in flight through this XP, so every granted W stream
                 // drains independently of other grants (the AW and its data
@@ -286,21 +321,14 @@ impl Xp {
                 // with unrestricted AW run-ahead, the per-output grant-order
                 // coupling of the W channel can form cyclic waits across
                 // crosspoints and deadlock the write path).
-                if write && self.w_route[i].is_some() {
-                    continue;
-                }
-                let remap = if write {
-                    &self.wr_remap[o]
-                } else {
-                    &self.rd_remap[o]
-                };
-                if !remap.can_acquire(SourceKey {
-                    port: i as u8,
-                    id: beat.id,
-                }) {
-                    continue;
-                }
-                *slot = true;
+                *slot = route == o
+                    && self.allowed[i][o]
+                    && guards[i].may_issue(beat.id, o)
+                    && !(write && self.w_route[i].is_some())
+                    && remap.can_acquire(SourceKey {
+                        port: i as u8,
+                        id: beat.id,
+                    });
             }
             let arb = if write {
                 &mut self.aw_arb[o]
@@ -336,6 +364,12 @@ impl Xp {
                 links.ar_push(out_idx, beat);
             }
             moved = true;
+            // The pop may expose a beat the cycle snapshot already held,
+            // bound for an output still to come.
+            heads[i] = self.req_head(links, in_idx, write);
+            if let Some((_, next)) = heads[i] {
+                wanted |= 1 << next;
+            }
         }
         moved
     }
@@ -373,49 +407,77 @@ impl Xp {
         moved
     }
 
+    /// The response beat at the head of output `o`'s B (`write`) or R
+    /// channel, with the upstream source its remapped ID belongs to.
+    fn resp_head<L: LinkView + ?Sized>(&self, links: &L, o: usize, write: bool) -> RespHead {
+        let out_idx = self.out_links[o]?;
+        let (beat, remap) = if write {
+            (links.b_peek(out_idx)?, &self.wr_remap[o])
+        } else {
+            (links.r_peek(out_idx)?, &self.rd_remap[o])
+        };
+        Some((beat, remap.source_of(beat.id)))
+    }
+
+    /// Every output's [`resp_head`](Self::resp_head), and the bit mask of
+    /// the inputs those heads return to.
+    fn resp_heads<L: LinkView + ?Sized>(&self, links: &L, write: bool) -> ([RespHead; PORTS], u8) {
+        let mut heads = [None; PORTS];
+        let mut wanted = 0u8;
+        for (o, head) in heads.iter_mut().enumerate() {
+            *head = self.resp_head(links, o, write);
+            wanted |= returns_to(*head);
+        }
+        (heads, wanted)
+    }
+
     /// B stage: route write responses back through the remap tables.
+    ///
+    /// Each output's head is read once. A grant at (input `i`, output `o`)
+    /// changes only output `o`'s head and remapper and input `i`'s guard,
+    /// and this stage never visits input `i` again, so only output `o` is
+    /// re-read.
     fn step_b<L: LinkView + ?Sized>(&mut self, links: &mut L) -> bool {
+        let (mut heads, mut wanted) = self.resp_heads(links, true);
         let mut moved = false;
         for i in 0..PORTS {
+            if wanted >> i & 1 == 0 {
+                continue;
+            }
             let Some(in_idx) = self.in_links[i] else {
                 continue;
             };
             if !links.b_can_push(in_idx) {
                 continue;
             }
-            let mut elig = [false; PORTS];
-            for (o, slot) in elig.iter_mut().enumerate() {
-                let Some(out_idx) = self.out_links[o] else {
-                    continue;
-                };
-                let Some(beat) = links.b_peek(out_idx) else {
-                    continue;
-                };
-                if let Some(key) = self.wr_remap[o].source_of(beat.id) {
-                    *slot = key.port as usize == i;
-                }
-            }
-            let Some(o) = self.b_arb[i].grant(|o| elig[o]) else {
+            let Some(o) = self.b_arb[i].grant(|o| returns_to(heads[o]) >> i & 1 == 1) else {
                 continue;
             };
             let out_idx = self.out_links[o].expect("eligible output exists");
             let mut beat = links.b_pop(out_idx).expect("eligible beat exists");
-            let key = self.wr_remap[o]
-                .source_of(beat.id)
+            let key = heads[o]
+                .and_then(|(_, key)| key)
                 .expect("response id is mapped");
             self.wr_remap[o].release(beat.id);
             self.aw_guard[i].complete(key.id);
             beat.id = key.id;
             links.b_push(in_idx, beat);
             moved = true;
+            heads[o] = self.resp_head(links, o, true);
+            wanted |= returns_to(heads[o]);
         }
         moved
     }
 
     /// R stage: route read data back, keeping bursts atomic per upstream.
+    /// Reads each output's head once, like [`step_b`](Self::step_b).
     fn step_r<L: LinkView + ?Sized>(&mut self, links: &mut L) -> bool {
+        let (mut heads, mut wanted) = self.resp_heads(links, false);
         let mut moved = false;
         for i in 0..PORTS {
+            if self.r_lock[i].is_none() && wanted >> i & 1 == 0 {
+                continue;
+            }
             let Some(in_idx) = self.in_links[i] else {
                 continue;
             };
@@ -424,30 +486,14 @@ impl Xp {
             }
             let source = match self.r_lock[i] {
                 Some(o) => Some(o),
-                None => {
-                    let mut elig = [false; PORTS];
-                    for (o, slot) in elig.iter_mut().enumerate() {
-                        let Some(out_idx) = self.out_links[o] else {
-                            continue;
-                        };
-                        let Some(beat) = links.r_peek(out_idx) else {
-                            continue;
-                        };
-                        if let Some(key) = self.rd_remap[o].source_of(beat.id) {
-                            *slot = key.port as usize == i;
-                        }
-                    }
-                    self.r_arb[i].grant(|o| elig[o])
-                }
+                None => self.r_arb[i].grant(|o| returns_to(heads[o]) >> i & 1 == 1),
             };
             let Some(o) = source else { continue };
             let out_idx = self.out_links[o].expect("locked output exists");
-            let Some(peeked) = links.r_peek(out_idx) else {
+            let Some((_, key)) = heads[o] else {
                 continue;
             };
-            let key = self.rd_remap[o]
-                .source_of(peeked.id)
-                .expect("response id is mapped");
+            let key = key.expect("response id is mapped");
             if key.port as usize != i {
                 // Interleaved burst from upstream would be a protocol bug;
                 // when locked we simply wait for our burst's next beat.
@@ -470,6 +516,8 @@ impl Xp {
             links.r_push(in_idx, beat);
             self.r_beats[i] += 1;
             moved = true;
+            heads[o] = self.resp_head(links, o, false);
+            wanted |= returns_to(heads[o]);
         }
         moved
     }
@@ -578,8 +626,11 @@ impl Xp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::link::{AxiLink, DataBeat, ReqBeat, RespBeat};
+    use crate::link::{AxiLink, DataBeat};
     use axi::AxiId;
+    use proptest::prelude::*;
+    use simkit::Rng;
+    use std::collections::VecDeque;
 
     /// Builds a standalone XP for node 5 of a 4×4 mesh wired with fresh
     /// links on every port, returning (xp, links).
@@ -868,5 +919,399 @@ mod tests {
         }
         // Only two transactions can be in flight through the South port.
         assert_eq!(xp.inflight(), 2);
+    }
+
+    #[test]
+    fn a_grant_exposes_the_next_request_to_a_later_output() {
+        let (mut xp, mut links) = lone_xp();
+        let local_in = xp.in_links[LOCAL].unwrap();
+        links[local_in].begin_cycle();
+        // Two reads with different IDs: East (dest 6) ahead of South
+        // (dest 13). East is arbitrated first, so the South-bound read
+        // reaches the head only through the refresh after East's grant.
+        links[local_in].ar.push(req(1, 6, 1));
+        links[local_in].ar.push(req(2, 13, 1));
+        cycle(&mut xp, &mut links);
+        let east_out = xp.out_links[Dir::East.port()].unwrap();
+        let south_out = xp.out_links[Dir::South.port()].unwrap();
+        assert!(
+            links[local_in].ar.is_empty(),
+            "both reads left in one cycle"
+        );
+        assert_eq!(links[east_out].ar.occupancy(), 1);
+        assert_eq!(links[south_out].ar.occupancy(), 1);
+    }
+
+    // -----------------------------------------------------------------
+    // Differential check of the head-cached stages against the nested
+    // loops they replaced, which peek every port once per (input,
+    // output) pair.
+    // -----------------------------------------------------------------
+
+    /// The nested-loop AW/AR stage: the oracle for `Xp::step_requests`.
+    fn reference_step_requests(xp: &mut Xp, links: &mut [AxiLink], write: bool) -> bool {
+        let mut moved = false;
+        for o in 0..PORTS {
+            let Some(out_idx) = xp.out_links[o] else {
+                continue;
+            };
+            let out_ready = if write {
+                links.aw_can_push(out_idx)
+            } else {
+                links.ar_can_push(out_idx)
+            };
+            if !out_ready {
+                continue;
+            }
+            let mut elig = [false; PORTS];
+            for (i, slot) in elig.iter_mut().enumerate() {
+                let Some(in_idx) = xp.in_links[i] else {
+                    continue;
+                };
+                let beat = if write {
+                    links.aw_peek(in_idx)
+                } else {
+                    links.ar_peek(in_idx)
+                };
+                let Some(beat) = beat else { continue };
+                if xp.route[beat.dst] as usize != o || !xp.allowed[i][o] {
+                    continue;
+                }
+                let guard = if write {
+                    &xp.aw_guard[i]
+                } else {
+                    &xp.ar_guard[i]
+                };
+                if !guard.may_issue(beat.id, o) {
+                    continue;
+                }
+                if write && xp.w_route[i].is_some() {
+                    continue;
+                }
+                let remap = if write {
+                    &xp.wr_remap[o]
+                } else {
+                    &xp.rd_remap[o]
+                };
+                if !remap.can_acquire(SourceKey {
+                    port: i as u8,
+                    id: beat.id,
+                }) {
+                    continue;
+                }
+                *slot = true;
+            }
+            let arb = if write {
+                &mut xp.aw_arb[o]
+            } else {
+                &mut xp.ar_arb[o]
+            };
+            let Some(i) = arb.grant(|i| elig[i]) else {
+                continue;
+            };
+            let in_idx = xp.in_links[i].expect("eligible input exists");
+            let mut beat = if write {
+                links.aw_pop(in_idx)
+            } else {
+                links.ar_pop(in_idx)
+            }
+            .expect("eligible beat exists");
+            let key = SourceKey {
+                port: i as u8,
+                id: beat.id,
+            };
+            if write {
+                let rid = xp.wr_remap[o].acquire(key).expect("eligibility checked");
+                xp.aw_guard[i].issue(beat.id, o);
+                xp.w_order[o].push_back(i);
+                xp.w_route[i] = Some(o);
+                beat.id = rid;
+                links.aw_push(out_idx, beat);
+            } else {
+                let rid = xp.rd_remap[o].acquire(key).expect("eligibility checked");
+                xp.ar_guard[i].issue(beat.id, o);
+                beat.id = rid;
+                links.ar_push(out_idx, beat);
+            }
+            moved = true;
+        }
+        moved
+    }
+
+    /// The nested-loop B stage: the oracle for `Xp::step_b`.
+    fn reference_step_b(xp: &mut Xp, links: &mut [AxiLink]) -> bool {
+        let mut moved = false;
+        for i in 0..PORTS {
+            let Some(in_idx) = xp.in_links[i] else {
+                continue;
+            };
+            if !links.b_can_push(in_idx) {
+                continue;
+            }
+            let mut elig = [false; PORTS];
+            for (o, slot) in elig.iter_mut().enumerate() {
+                let Some(out_idx) = xp.out_links[o] else {
+                    continue;
+                };
+                let Some(beat) = links.b_peek(out_idx) else {
+                    continue;
+                };
+                if let Some(key) = xp.wr_remap[o].source_of(beat.id) {
+                    *slot = key.port as usize == i;
+                }
+            }
+            let Some(o) = xp.b_arb[i].grant(|o| elig[o]) else {
+                continue;
+            };
+            let out_idx = xp.out_links[o].expect("eligible output exists");
+            let mut beat = links.b_pop(out_idx).expect("eligible beat exists");
+            let key = xp.wr_remap[o]
+                .source_of(beat.id)
+                .expect("response id is mapped");
+            xp.wr_remap[o].release(beat.id);
+            xp.aw_guard[i].complete(key.id);
+            beat.id = key.id;
+            links.b_push(in_idx, beat);
+            moved = true;
+        }
+        moved
+    }
+
+    /// The nested-loop R stage: the oracle for `Xp::step_r`.
+    fn reference_step_r(xp: &mut Xp, links: &mut [AxiLink]) -> bool {
+        let mut moved = false;
+        for i in 0..PORTS {
+            let Some(in_idx) = xp.in_links[i] else {
+                continue;
+            };
+            if !links.r_can_push(in_idx) {
+                continue;
+            }
+            let source = match xp.r_lock[i] {
+                Some(o) => Some(o),
+                None => {
+                    let mut elig = [false; PORTS];
+                    for (o, slot) in elig.iter_mut().enumerate() {
+                        let Some(out_idx) = xp.out_links[o] else {
+                            continue;
+                        };
+                        let Some(beat) = links.r_peek(out_idx) else {
+                            continue;
+                        };
+                        if let Some(key) = xp.rd_remap[o].source_of(beat.id) {
+                            *slot = key.port as usize == i;
+                        }
+                    }
+                    xp.r_arb[i].grant(|o| elig[o])
+                }
+            };
+            let Some(o) = source else { continue };
+            let out_idx = xp.out_links[o].expect("locked output exists");
+            let Some(peeked) = links.r_peek(out_idx) else {
+                continue;
+            };
+            let key = xp.rd_remap[o]
+                .source_of(peeked.id)
+                .expect("response id is mapped");
+            if key.port as usize != i {
+                continue;
+            }
+            let mut beat = links.r_pop(out_idx).expect("peeked beat exists");
+            if beat.last {
+                xp.rd_remap[o].release(beat.id);
+                xp.ar_guard[i].complete(key.id);
+                xp.r_lock[i] = None;
+            } else {
+                xp.r_lock[i] = Some(o);
+            }
+            beat.id = key.id;
+            links.r_push(in_idx, beat);
+            xp.r_beats[i] += 1;
+            moved = true;
+        }
+        moved
+    }
+
+    /// `Xp::step` with the oracle stages (the W stage never scanned).
+    fn reference_step(xp: &mut Xp, links: &mut [AxiLink]) -> bool {
+        let mut moved = reference_step_requests(xp, links, true);
+        moved |= reference_step_requests(xp, links, false);
+        moved |= xp.step_w(links);
+        moved |= reference_step_b(xp, links);
+        moved |= reference_step_r(xp, links);
+        moved
+    }
+
+    /// A lone XP (node 5 of a 4×4 mesh, full connectivity) with random
+    /// masters on every input link and random slaves on every output link.
+    #[derive(Clone)]
+    struct Harness {
+        xp: Xp,
+        links: Vec<AxiLink>,
+        /// Per input: write data still to offer, in burst order.
+        w_todo: [VecDeque<DataBeat>; PORTS],
+        /// Per output: IDs of accepted AWs whose data has not all arrived.
+        aw_open: [VecDeque<AxiId>; PORTS],
+        /// Per output: B beats still to return.
+        b_todo: [VecDeque<RespBeat>; PORTS],
+        /// Per output: R beats still to return, whole bursts in order.
+        r_todo: [VecDeque<RespBeat>; PORTS],
+    }
+
+    impl Harness {
+        fn new(id_width: u32) -> Self {
+            let topo = Topology::mesh4x4();
+            let algo = RoutingAlgorithm::YxDimensionOrder;
+            let mut links = Vec::new();
+            let mut in_links = [None; PORTS];
+            let mut out_links = [None; PORTS];
+            for p in 0..PORTS {
+                links.push(AxiLink::new(1));
+                in_links[p] = Some(links.len() - 1);
+                links.push(AxiLink::new(1));
+                out_links[p] = Some(links.len() - 1);
+            }
+            let allowed = xp_connectivity(topo, algo, 5, Connectivity::Full);
+            Self {
+                xp: Xp::new(topo, algo, allowed, 5, id_width, in_links, out_links),
+                links,
+                w_todo: Default::default(),
+                aw_open: Default::default(),
+                b_todo: Default::default(),
+                r_todo: Default::default(),
+            }
+        }
+
+        /// A random request from input `p` to a destination it may route
+        /// to (no u-turn), with a random ID and burst length.
+        fn random_req(&self, rng: &mut Rng, p: usize) -> ReqBeat {
+            let legal: Vec<usize> = (0..16)
+                .filter(|&d| self.xp.allows(p, usize::from(self.xp.route[d])))
+                .collect();
+            let dst = legal[rng.gen_range(legal.len() as u64) as usize];
+            let beats = 1 + rng.gen_range(3) as u16;
+            ReqBeat {
+                txn: rng.next_u64(),
+                ..req(rng.gen_range(4) as u16, dst, beats)
+            }
+        }
+
+        /// One cycle: begin every link, let the masters act, step the XP
+        /// (the oracle stages if `reference`), then let the slaves act.
+        /// Returns the XP's `moved` flag.
+        fn cycle(&mut self, rng: &mut Rng, reference: bool) -> bool {
+            for l in &mut self.links {
+                l.begin_cycle();
+            }
+            for p in 0..PORTS {
+                let l = self.xp.in_links[p].unwrap();
+                if rng.gen_bool(0.3) && self.links[l].aw.can_push() && self.w_todo[p].len() < 6 {
+                    let aw = self.random_req(rng, p);
+                    for k in 0..aw.beats {
+                        self.w_todo[p].push_back(DataBeat {
+                            bytes: 4,
+                            last: k + 1 == aw.beats,
+                            txn: aw.txn,
+                        });
+                    }
+                    self.links[l].aw.push(aw);
+                }
+                if rng.gen_bool(0.3) && self.links[l].ar.can_push() {
+                    let ar = self.random_req(rng, p);
+                    self.links[l].ar.push(ar);
+                }
+                if rng.gen_bool(0.7) && self.links[l].w.can_push() {
+                    if let Some(w) = self.w_todo[p].pop_front() {
+                        self.links[l].w.push(w);
+                    }
+                }
+                if rng.gen_bool(0.6) {
+                    self.links[l].b.pop();
+                }
+                if rng.gen_bool(0.6) {
+                    self.links[l].r.pop();
+                }
+            }
+            let moved = if reference {
+                reference_step(&mut self.xp, &mut self.links)
+            } else {
+                self.xp.step(self.links.as_mut_slice())
+            };
+            for o in 0..PORTS {
+                let l = self.xp.out_links[o].unwrap();
+                if rng.gen_bool(0.6) {
+                    if let Some(aw) = self.links[l].aw.pop() {
+                        self.aw_open[o].push_back(aw.id);
+                    }
+                }
+                // A slave takes write data only for an accepted AW.
+                if rng.gen_bool(0.7) && !self.aw_open[o].is_empty() {
+                    if let Some(w) = self.links[l].w.pop() {
+                        if w.last {
+                            let id = self.aw_open[o].pop_front().unwrap();
+                            self.b_todo[o].push_back(RespBeat {
+                                id,
+                                bytes: 0,
+                                last: true,
+                                txn: w.txn,
+                            });
+                        }
+                    }
+                }
+                if rng.gen_bool(0.6) {
+                    if let Some(ar) = self.links[l].ar.pop() {
+                        for k in 0..ar.beats {
+                            self.r_todo[o].push_back(RespBeat {
+                                id: ar.id,
+                                bytes: 4,
+                                last: k + 1 == ar.beats,
+                                txn: ar.txn,
+                            });
+                        }
+                    }
+                }
+                if rng.gen_bool(0.6) && self.links[l].b.can_push() {
+                    if let Some(b) = self.b_todo[o].pop_front() {
+                        self.links[l].b.push(b);
+                    }
+                }
+                if rng.gen_bool(0.7) && self.links[l].r.can_push() {
+                    if let Some(r) = self.r_todo[o].pop_front() {
+                        self.links[l].r.push(r);
+                    }
+                }
+            }
+            moved
+        }
+
+        /// The XP's `encode_state` bytes followed by every link's.
+        fn state(&self) -> Vec<u8> {
+            let mut e = simkit::snap::Encoder::new(0, 0);
+            self.xp.encode_state(&mut e);
+            for l in &self.links {
+                l.encode(&mut e);
+            }
+            e.finish()
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn head_cached_stages_match_the_nested_loop_oracle(
+            seed in any::<u64>(),
+            id_width in 1u32..=3,
+        ) {
+            let mut fast = Harness::new(id_width);
+            let mut slow = fast.clone();
+            let (mut rng_fast, mut rng_slow) = (Rng::new(seed), Rng::new(seed));
+            let mut moves = 0;
+            for c in 0..400 {
+                let moved = fast.cycle(&mut rng_fast, false);
+                prop_assert_eq!(moved, slow.cycle(&mut rng_slow, true), "cycle {}", c);
+                prop_assert!(fast.state() == slow.state(), "state diverged at cycle {}", c);
+                moves += u32::from(moved);
+            }
+            prop_assert!(moves > 100, "harness too quiet: {} moving cycles", moves);
+        }
     }
 }

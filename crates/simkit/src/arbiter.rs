@@ -75,13 +75,18 @@ impl RoundRobinArbiter {
 
     /// Grants the next requesting input in round-robin order, advancing the
     /// pointer past the winner. Returns `None` when nothing requests.
+    ///
+    /// Runs for every output of every switch on every cycle, so the index
+    /// wraps with a compare rather than a `%` (same grant sequence).
     pub fn grant<F: Fn(usize) -> bool>(&mut self, requesting: F) -> Option<usize> {
-        for offset in 0..self.n {
-            let idx = (self.next + offset) % self.n;
+        let mut idx = self.next;
+        for _ in 0..self.n {
+            let after = if idx + 1 == self.n { 0 } else { idx + 1 };
             if requesting(idx) {
-                self.next = (idx + 1) % self.n;
+                self.next = after;
                 return Some(idx);
             }
+            idx = after;
         }
         None
     }
@@ -164,6 +169,25 @@ mod tests {
             let gb = b.peek_grant(|i| req[i]);
             assert_eq!(ga, gb);
             b.commit(gb.unwrap());
+        }
+    }
+
+    #[test]
+    fn grant_agrees_with_peek_grant_for_every_cursor_and_mask() {
+        // `peek_grant` still wraps with `%`: the reference for the
+        // compare-wrapped `grant`.
+        for n in 1..=6usize {
+            for cursor in 0..n {
+                for mask in 0u32..(1 << n) {
+                    let mut arb = RoundRobinArbiter::new(n);
+                    arb.set_cursor(cursor).unwrap();
+                    let req = |i: usize| mask >> i & 1 == 1;
+                    let expected = arb.peek_grant(req);
+                    assert_eq!(arb.grant(req), expected, "n={n} cursor={cursor}");
+                    let next = expected.map_or(cursor, |w| (w + 1) % n);
+                    assert_eq!(arb.cursor(), next);
+                }
+            }
         }
     }
 
