@@ -19,13 +19,11 @@
 //! artifact records the `warmup_cycles_saved`. Forked runs are
 //! bit-identical to cold runs, so the flag only moves wall clock.
 //!
-//! Event-horizon time skipping is on by default (`BENCH_TIME_SKIP=0`
-//! disables it for the reference artifact CI uploads alongside): the
-//! active mode then jumps `now` across provably idle gaps, which is
-//! where the near-idle point's speedup comes from. Each point records
-//! its `cycles_skipped`, and the binary exits non-zero when skipping is
-//! enabled but the near-idle point skipped nothing — a dead-feature
-//! guard on the horizon logic.
+//! The active mode also skips time: it jumps `now` across provably idle
+//! gaps, which is where the near-idle point's speedup comes from. Each
+//! point records its `cycles_skipped`, and the binary exits non-zero when
+//! the near-idle point skipped nothing — a dead-feature guard on the
+//! horizon logic.
 //!
 //! Points run *serially* regardless of `--jobs`: parallel workers would
 //! contend for cores and corrupt the wall-clock comparison.
@@ -36,12 +34,11 @@ use bench::perf::{
     capture_packet_warm, capture_patronoc_warm, mode_json, run_packet, run_packet_warm,
     run_patronoc, run_patronoc_warm, telemetry_is_live, Runner, StepMode, WarmCapture, WarmRunner,
 };
-use bench::sweep::{time_skip_enabled, warm_start_enabled, SweepOptions};
+use bench::sweep::{warm_start_enabled, SweepOptions};
 
 fn main() {
     let opts = SweepOptions::parse("PERF_QUICK");
     let warm_start = warm_start_enabled();
-    let time_skip = time_skip_enabled();
     let (window, warmup) = if opts.quick {
         (60_000, 10_000)
     } else {
@@ -69,13 +66,12 @@ fn main() {
 
     println!("simulator performance: activity-driven vs full-sweep stepping");
     println!(
-        "window {window} cycles, warmup {warmup} cycles{}{}",
+        "window {window} cycles, warmup {warmup} cycles{}",
         if warm_start {
             " (warm-start forking)"
         } else {
             ""
-        },
-        if time_skip { "" } else { " (time skip OFF)" }
+        }
     );
     println!(
         "{:>16} {:>8} {:>14} {:>14} {:>9} {:>10} {:>10} {:>12}",
@@ -134,12 +130,11 @@ fn main() {
         for &load in &loads {
             let (full, full_saved) = best_of(runner, capture, warm_run, load, StepMode::full());
             let (active, active_saved) =
-                best_of(runner, capture, warm_run, load, StepMode::active(time_skip));
+                best_of(runner, capture, warm_run, load, StepMode::active());
             warmup_saved += full_saved + active_saved;
-            // Dead-feature guard: with skipping on, the near-idle point
-            // must actually skip — a zero here means the horizon logic
-            // silently stopped firing.
-            if time_skip && load == loads[0] {
+            // Dead-feature guard: the near-idle point must actually skip —
+            // a zero here means the horizon logic silently stopped firing.
+            if load == loads[0] {
                 skipping_live &= active.report.cycles_skipped > 0;
             }
             let identical = active.report == full.report;
@@ -182,12 +177,11 @@ fn main() {
 
     opts.emit_json(&Json::obj(vec![
         ("figure", Json::str("perf")),
-        ("schema_version", Json::U64(3)),
+        ("schema_version", Json::U64(4)),
         ("quick", Json::Bool(opts.quick)),
         ("window", Json::U64(window)),
         ("warmup", Json::U64(warmup)),
         ("warm_start", Json::Bool(warm_start)),
-        ("time_skip", Json::Bool(time_skip)),
         ("warmup_cycles_saved", Json::U64(warmup_saved)),
         ("points", Json::Arr(points)),
     ]));
@@ -201,7 +195,7 @@ fn main() {
         std::process::exit(1);
     }
     if !skipping_live {
-        eprintln!("error: time skipping enabled but the near-idle point skipped zero cycles");
+        eprintln!("error: the near-idle point skipped zero cycles");
         std::process::exit(1);
     }
 }

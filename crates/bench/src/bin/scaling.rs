@@ -28,7 +28,7 @@ use bench::json::Json;
 use bench::sweep::{SweepOptions, WarmCache};
 use patronoc::Topology;
 use physical::{bisection::bisection_bandwidth_gib_s, AreaModel, BisectionCounting};
-use scenario::{Scenario, TrafficSpec};
+use scenario::{Engine, Scenario, TrafficSpec};
 use simkit::{SimReport, StopReason};
 
 /// The region-shard thread counts of the speedup curve.

@@ -6,7 +6,7 @@
 
 use crate::json::Json;
 use crate::{noxim_uniform_scenario, patronoc_uniform_scenario};
-use scenario::PacketProfile;
+use scenario::{Engine, PacketProfile};
 use simkit::{SimReport, StopReason};
 
 /// Fixed seed of the perf points (the workload is not the variable here).
@@ -21,34 +21,26 @@ pub struct ModeResult {
 }
 
 /// The stepping discipline of one perf run: the activity-driven vs
-/// `full_sweep` axis the sweep compares, and the event-horizon
-/// `time_skip` knob (`BENCH_TIME_SKIP`, default on; irrelevant under
-/// `full_sweep`, which forces skipping off in the engines).
+/// `full_sweep` axis the sweep compares.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StepMode {
-    /// Step every component every cycle (the reference discipline).
+    /// Step every component every cycle and never skip idle time (the
+    /// reference discipline); otherwise activity-driven with event-horizon
+    /// time skipping.
     pub full_sweep: bool,
-    /// Jump `now` across provably idle gaps.
-    pub time_skip: bool,
 }
 
 impl StepMode {
-    /// Activity-driven stepping, with skipping as requested.
+    /// Activity-driven stepping with time skipping.
     #[must_use]
-    pub fn active(time_skip: bool) -> Self {
-        Self {
-            full_sweep: false,
-            time_skip,
-        }
+    pub fn active() -> Self {
+        Self { full_sweep: false }
     }
 
     /// The full-sweep reference (never skips).
     #[must_use]
     pub fn full() -> Self {
-        Self {
-            full_sweep: true,
-            time_skip: false,
-        }
+        Self { full_sweep: true }
     }
 }
 
@@ -61,7 +53,6 @@ pub fn run_patronoc(load: f64, window: u64, warmup: u64, mode: StepMode) -> Mode
     let sc = patronoc_uniform_scenario(32, load, 1_000, window, warmup, PERF_SEED);
     let mut cfg = sc.noc_config().expect("valid perf scenario");
     cfg.full_sweep = mode.full_sweep;
-    cfg.time_skip = mode.time_skip;
     let mut sim = patronoc::NocSim::new(cfg).expect("valid configuration");
     let mut src = sc.build_source();
     let report = sim.run(&mut *src, warmup + window, warmup);
@@ -77,7 +68,6 @@ pub fn run_packet(load: f64, window: u64, warmup: u64, mode: StepMode) -> ModeRe
     let sc = noxim_uniform_scenario(PacketProfile::Compact, load, 100, window, warmup, PERF_SEED);
     let mut cfg = PacketProfile::Compact.base_config();
     cfg.full_sweep = mode.full_sweep;
-    cfg.time_skip = mode.time_skip;
     let mut sim = packetnoc::PacketNocSim::new(cfg);
     let mut src = sc.build_source();
     let report = sim.run(&mut *src, warmup + window, warmup);
@@ -127,7 +117,6 @@ pub fn capture_patronoc_warm(load: f64, warmup: u64, mode: StepMode) -> Option<P
     let sc = patronoc_uniform_scenario(32, load, 1_000, 0, warmup, PERF_SEED);
     let mut cfg = sc.noc_config().ok()?;
     cfg.full_sweep = mode.full_sweep;
-    cfg.time_skip = mode.time_skip;
     let mut sim = patronoc::NocSim::new(cfg).ok()?;
     let mut src = sc.build_source();
     let report = sim.run(&mut *src, warmup, warmup);
@@ -158,7 +147,6 @@ pub fn run_patronoc_warm(
     let sc = patronoc_uniform_scenario(32, load, 1_000, window, warmup, PERF_SEED);
     let mut cfg = sc.noc_config().ok()?;
     cfg.full_sweep = mode.full_sweep;
-    cfg.time_skip = mode.time_skip;
     let mut sim = patronoc::NocSim::new(cfg).ok()?;
     sim.restore(&warm.engine).ok()?;
     let mut src = sc.build_source();
@@ -184,7 +172,6 @@ pub fn capture_packet_warm(load: f64, warmup: u64, mode: StepMode) -> Option<Per
     let sc = noxim_uniform_scenario(PacketProfile::Compact, load, 100, 0, warmup, PERF_SEED);
     let mut cfg = PacketProfile::Compact.base_config();
     cfg.full_sweep = mode.full_sweep;
-    cfg.time_skip = mode.time_skip;
     let mut sim = packetnoc::PacketNocSim::new(cfg);
     let mut src = sc.build_source();
     let report = sim.run(&mut *src, warmup, warmup);
@@ -214,7 +201,6 @@ pub fn run_packet_warm(
     let sc = noxim_uniform_scenario(PacketProfile::Compact, load, 100, window, warmup, PERF_SEED);
     let mut cfg = PacketProfile::Compact.base_config();
     cfg.full_sweep = mode.full_sweep;
-    cfg.time_skip = mode.time_skip;
     let mut sim = packetnoc::PacketNocSim::new(cfg);
     sim.restore(&warm.engine).ok()?;
     let mut src = sc.build_source();

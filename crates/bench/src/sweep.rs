@@ -46,26 +46,6 @@ pub fn warm_start_enabled() -> bool {
 /// thread count (`Scenario::threads`) for all sweeps.
 pub const THREADS_ENV: &str = "BENCH_THREADS";
 
-/// Environment variable disabling event-horizon time skipping
-/// (`BENCH_TIME_SKIP=0`): the perf sweep then steps every idle cycle —
-/// the reference path CI measures alongside the default skipping run.
-/// Skipping is bit-identical to the reference (the equivalence suite
-/// pins that), so like the other sweep knobs this moves wall clock only.
-pub const TIME_SKIP_ENV: &str = "BENCH_TIME_SKIP";
-
-/// Whether time skipping is enabled: on by default, off only when
-/// [`TIME_SKIP_ENV`] is set to `0`. Read here, in the bench harness, and
-/// nowhere below it: simulation crates never read the environment.
-#[must_use]
-pub fn time_skip_enabled() -> bool {
-    time_skip_from(std::env::var(TIME_SKIP_ENV).ok().as_deref())
-}
-
-/// The testable core of [`time_skip_enabled`].
-fn time_skip_from(v: Option<&str>) -> bool {
-    v != Some("0")
-}
-
 const USAGE: &str = "usage: <bin> [--jobs N] [--threads N] [--json PATH] [--quick]
   --jobs N     worker threads for the sweep grid (default: $BENCH_JOBS,
                else the machine's available parallelism); results are
@@ -399,14 +379,6 @@ mod tests {
         }
         assert!(SweepOptions::try_parse(argv(&[]), false, Some("zero"), None).is_err());
         assert!(SweepOptions::try_parse(argv(&[]), false, None, Some("-1")).is_err());
-    }
-
-    #[test]
-    fn time_skip_defaults_on_and_only_zero_disables() {
-        assert!(time_skip_from(None));
-        assert!(time_skip_from(Some("1")));
-        assert!(time_skip_from(Some("")));
-        assert!(!time_skip_from(Some("0")));
     }
 
     #[test]

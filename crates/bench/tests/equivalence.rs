@@ -15,7 +15,7 @@ use axi::AxiParams;
 use bench::{defaults, dnn_scenario, noxim_uniform_scenario, patronoc_uniform_scenario};
 use packetnoc::{PacketNocConfig, PacketNocSim};
 use patronoc::{NocConfig, NocSim, Topology};
-use scenario::{PacketProfile, Scenario, TrafficSpec};
+use scenario::{Engine, PacketProfile, Scenario, TrafficSpec};
 use simkit::SimReport;
 use traffic::{
     dnn::DnnConfig, DnnTraffic, DnnWorkload, SyntheticConfig, SyntheticPattern, SyntheticTraffic,
@@ -324,9 +324,9 @@ fn active_stepping_saves_work_at_low_injection_on_both_engines() {
 // ---------------------------------------------------------------------------
 // Event-horizon time skipping: jumping `now` across provably idle gaps must
 // be invisible in every observable — the full `SimReport` (state digest
-// included) must match the cycle-by-cycle reference bit for bit, on both
-// engines, across every traffic class, at idle / mid / saturated operating
-// points, and at every shard thread count.
+// included) must match the cycle-by-cycle full-sweep reference bit for
+// bit, on both engines, across every traffic class, at idle / mid /
+// saturated operating points, and at every shard thread count.
 // ---------------------------------------------------------------------------
 
 #[test]
@@ -383,8 +383,8 @@ fn time_skipping_is_bit_identical_across_engines_traffic_and_threads() {
     for sc in &scenarios {
         for threads in [1usize, 2, 4] {
             let sc = sc.clone().threads(threads);
-            let reference = sc.clone().time_skip(false).run().expect("valid scenario");
-            let skipped = sc.clone().time_skip(true).run().expect("valid scenario");
+            let reference = sc.clone().full_sweep(true).run().expect("valid scenario");
+            let skipped = sc.run().expect("valid scenario");
             assert_eq!(reference.cycles_skipped, 0, "reference must not skip");
             assert_eq!(
                 reference, skipped,

@@ -29,12 +29,9 @@ fn perf_mode_json_carries_live_allocation_telemetry() {
     for (name, result) in [
         (
             "patronoc",
-            run_patronoc(0.3, 5_000, 1_000, StepMode::active(true)),
+            run_patronoc(0.3, 5_000, 1_000, StepMode::active()),
         ),
-        (
-            "packet",
-            run_packet(0.3, 5_000, 1_000, StepMode::active(true)),
-        ),
+        ("packet", run_packet(0.3, 5_000, 1_000, StepMode::active())),
     ] {
         assert!(
             telemetry_is_live(&result),
@@ -85,11 +82,11 @@ fn warm_forked_points_emit_the_same_schema_and_telemetry() {
         ("packet", run_packet, capture_packet_warm, run_packet_warm),
     ];
     for (name, runner, capture, warm_run) in cells {
-        let cold = runner(0.3, 5_000, 1_000, StepMode::active(true));
-        let warm = capture(0.3, 1_000, StepMode::active(true)).expect("perf points checkpoint");
+        let cold = runner(0.3, 5_000, 1_000, StepMode::active());
+        let warm = capture(0.3, 1_000, StepMode::active()).expect("perf points checkpoint");
         assert_eq!(warm.warmup(), 1_000);
         let forked =
-            warm_run(0.3, 5_000, 1_000, StepMode::active(true), &warm).expect("warm fork runs");
+            warm_run(0.3, 5_000, 1_000, StepMode::active(), &warm).expect("warm fork runs");
         assert_eq!(cold.report, forked.report, "{name}: forked report diverged");
         assert_eq!(cold.work_items, forked.work_items, "{name}");
         assert!(telemetry_is_live(&forked), "{name}: forked telemetry dead");
@@ -126,7 +123,7 @@ fn allocation_telemetry_is_identical_across_stepping_modes() {
     // arena counters must agree exactly (even though the field is excluded
     // from `SimReport::eq`, which covers simulated results only).
     for runner in [run_patronoc, run_packet] {
-        let active = runner(0.3, 5_000, 1_000, StepMode::active(true));
+        let active = runner(0.3, 5_000, 1_000, StepMode::active());
         let full = runner(0.3, 5_000, 1_000, StepMode::full());
         assert_eq!(active.report.slab_high_water, full.report.slab_high_water);
         assert_eq!(

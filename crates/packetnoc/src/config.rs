@@ -1,7 +1,5 @@
 //! Baseline NoC configuration (the paper's two Noxim setups).
 
-use simkit::SaturateThresholds;
-
 /// Configuration of the packet-based baseline NoC.
 ///
 /// Defaults mirror the paper's Noxim runs: 4×4 mesh, XY routing, 32-bit
@@ -39,30 +37,17 @@ pub struct PacketNocConfig {
     /// for any cap ≥ 1; the cap bounds simulator memory on saturated runs.
     pub ni_queue_cap: usize,
     /// Debug mode: step every buffer, router and NI every cycle (the
-    /// pre-activity-driven behaviour) instead of only the live subset.
+    /// pre-activity-driven behaviour) instead of only the live subset, and
+    /// never skip idle time (see `traffic::drive`).
     /// Results are bit-identical either way — kept as the reference the
     /// active path is cross-checked against in
     /// `crates/bench/tests/equivalence.rs`.
     pub full_sweep: bool,
-    /// Event-horizon time skipping (default on): when the mesh is fully
-    /// drained and the traffic source reports its next arrival strictly
-    /// in the future (`simkit::horizon`), the run loop jumps `now` across
-    /// the idle gap in one step instead of ticking empty cycles. Results
-    /// are **bit-identical** either way — the equivalence suite pins that;
-    /// the knob exists so the reference path stays runnable.
-    /// [`full_sweep`](Self::full_sweep) forces it off: the debug sweep
-    /// steps every cycle by definition.
-    pub time_skip: bool,
     /// Worker threads for region-sharded execution of this one simulation
     /// (1 = serial). The mesh is split into contiguous row bands, one
     /// worker each; results are bit-identical at any thread count — the
     /// equivalence suite pins that — so this knob trades wall clock only.
     pub threads: usize,
-    /// Two-regime scheduler thresholds (saturated-regime entry/exit). The
-    /// default reproduces the previously hard-coded
-    /// [`simkit::sched::SATURATE_ENTER`] / [`simkit::sched::SATURATE_EXIT`]
-    /// fractions bit-for-bit.
-    pub saturate: SaturateThresholds,
 }
 
 impl PacketNocConfig {
@@ -80,9 +65,7 @@ impl PacketNocConfig {
             router_extra_latency: 2,
             ni_queue_cap: 64,
             full_sweep: false,
-            time_skip: true,
             threads: 1,
-            saturate: SaturateThresholds::default(),
         }
     }
 

@@ -16,15 +16,12 @@ use crate::snapcodec::{corrupt, decode_transfer, encode_transfer};
 use crate::txn::{TxHandle, TxRecord};
 use simkit::pool::{crew_scope, Crew};
 use simkit::region::{DisjointSlots, RegionMap};
-use simkit::sched::ActiveSet;
+use simkit::sched::{should_desaturate, should_saturate, ActiveSet};
 use simkit::slab::SlabStats;
 use simkit::snap::{DecodeLimits, Decoder, Encoder, SnapError};
-use simkit::{
-    Cycle, Fifo, Histogram, Horizon, HorizonTracker, ProgressWatchdog, SimReport, Slab, StopReason,
-    ThroughputMeter,
-};
+use simkit::{Cycle, Fifo, Histogram, Horizon, SimReport, Slab, StopReason, ThroughputMeter};
 
-use traffic::TrafficSource;
+use traffic::{drive, Engine, TrafficSource};
 
 /// Per-region slot → canonical record number map (see
 /// [`PacketNocSim::canonical_txs`]).
@@ -78,11 +75,11 @@ pub struct PacketNocSim {
     /// under [`simkit::sched::SATURATE_EXIT`]. Depends only on simulation
     /// state, so the regime sequence is deterministic.
     saturated: bool,
-    /// Cycles stepped inside timed [`run`](Self::run) loops.
+    /// Cycles stepped inside timed [`run`](Engine::run) loops.
     wall_cycles: Cycle,
-    /// Wall-clock seconds spent inside timed [`run`](Self::run) loops.
+    /// Wall-clock seconds spent inside timed [`run`](Engine::run) loops.
     wall_secs: f64,
-    /// Cycles crossed by event-horizon time skipping ([`Self::try_skip`])
+    /// Cycles crossed by event-horizon time skipping ([`Engine::skip_to`])
     /// instead of stepping. Cumulative telemetry like `wall_cycles`:
     /// excluded from snapshots and never reset on restore.
     cycles_skipped: u64,
@@ -172,13 +169,7 @@ impl PacketNocSim {
         &self.cfg
     }
 
-    /// Current simulation time.
-    #[must_use]
-    pub fn now(&self) -> Cycle {
-        self.now
-    }
-
-    /// Why the last [`run`](Self::run) stopped.
+    /// Why the last [`run`](Engine::run) stopped.
     #[must_use]
     pub fn stop_reason(&self) -> StopReason {
         self.stop_reason
@@ -191,13 +182,6 @@ impl PacketNocSim {
         self.packets_delivered
     }
 
-    /// Arms the throughput meter to start measuring at absolute cycle
-    /// `start` — what [`run`](Self::run) does internally; exposed for
-    /// callers driving the engine cycle by cycle via [`step`](Self::step).
-    pub fn begin_measurement(&mut self, start: Cycle) {
-        self.meter = ThroughputMeter::new(start);
-    }
-
     fn neighbor(cols: usize, rows: usize, node: usize, p: Port) -> Option<usize> {
         let (x, y) = (node % cols, node / cols);
         match p {
@@ -207,194 +191,6 @@ impl PacketNocSim {
             Port::West => (x > 0).then(|| node - 1),
             Port::Local => None,
         }
-    }
-
-    /// Runs for at most `max_cycles`, measuring after `warmup`. Stops early
-    /// when the source is done and the network drained.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the mesh makes no forward progress for 100 000 cycles
-    /// while flits or transfers are pending — the same no-forward-progress
-    /// watchdog as the PATRONoC engine (a stuck flit indicates a routing
-    /// or wiring bug; an idle mesh waiting for sparse arrivals is exempt).
-    pub fn run<S: TrafficSource + ?Sized>(
-        &mut self,
-        source: &mut S,
-        max_cycles: Cycle,
-        warmup: Cycle,
-    ) -> SimReport {
-        self.begin_measurement(self.now + warmup);
-        if self.sharding.is_some() {
-            // Sharded cycles are parallel full sweeps: there is no per-item
-            // activity tracking across regions, so run in the saturated
-            // regime (empty sets, full-sweep semantics). Serial stepping
-            // after this run remains exact — the saturated regime is a
-            // legal scheduler state it knows how to leave.
-            self.saturated = true;
-            self.hot_bufs.clear();
-            self.hot_nis.clear();
-            self.hot_routers.clear();
-            let workers = self.sharding.as_ref().map_or(1, |s| s.ctxs.len());
-            crew_scope(workers, |crew| {
-                self.run_loop(source, max_cycles, Some(crew))
-            })
-        } else {
-            self.run_loop(source, max_cycles, None)
-        }
-    }
-
-    fn run_loop<S: TrafficSource + ?Sized>(
-        &mut self,
-        source: &mut S,
-        max_cycles: Cycle,
-        crew: Option<&Crew<'_>>,
-    ) -> SimReport {
-        let deadline = self.now + max_cycles;
-        self.stop_reason = StopReason::Budget;
-        let mut watchdog = ProgressWatchdog::new(self.now, self.progress_marker());
-        let wall_start = std::time::Instant::now();
-        let first_cycle = self.now;
-        while self.now < deadline {
-            match crew {
-                Some(crew) => self.step_sharded(source, crew),
-                None => self.step(source),
-            }
-            if let Some(since) = watchdog.observe(self.now, self.progress_marker()) {
-                if self.is_drained() {
-                    // Not a stall: merely idle between sparse arrivals.
-                    watchdog.excuse(self.now);
-                    continue;
-                }
-                panic!(
-                    "deadlock: no progress since cycle {} (now {}), {} packets delivered",
-                    since, self.now, self.packets_delivered
-                );
-            }
-            if source.is_done() && self.is_drained() {
-                self.stop_reason = StopReason::Drained;
-                break;
-            }
-            if let Some(target) = self.try_skip(source, deadline) {
-                // The skipped span is provably uneventful, so the watchdog
-                // must not count it towards a stall.
-                watchdog.excuse(target);
-            }
-        }
-        self.wall_cycles += self.now - first_cycle;
-        self.wall_secs += wall_start.elapsed().as_secs_f64();
-        self.snapshot_report()
-    }
-
-    /// Flit-level progress indicator for the watchdog: any metered byte,
-    /// delivered packet or completed NI injection counts as progress.
-    fn progress_marker(&self) -> (u64, u64) {
-        let injected: u64 = self
-            .nis
-            .iter()
-            .map(NetworkInterface::packets_injected)
-            .sum();
-        (
-            self.meter.bytes() + self.meter.warmup_bytes(),
-            self.packets_delivered + injected,
-        )
-    }
-
-    /// Snapshot of the metrics at the current cycle — latency sampled per
-    /// *packet* (injection → tail delivery), the baseline's native unit.
-    /// [`run`](Self::run) returns exactly this after its loop exits.
-    #[must_use]
-    pub fn snapshot_report(&self) -> SimReport {
-        let slab = self.allocation_stats();
-        SimReport {
-            cycles: self.now,
-            payload_bytes: self.meter.bytes(),
-            throughput_gib_s: self.meter.throughput_gib_s(self.now),
-            throughput_bytes_s: self.meter.throughput_bytes_s(self.now),
-            transfers_completed: self.transfers_completed,
-            mean_latency: self.latency.mean(),
-            p99_latency: self.latency.quantile(0.99),
-            stop_reason: self.stop_reason,
-            cycles_per_sec: if self.wall_secs > 0.0 {
-                self.wall_cycles as f64 / self.wall_secs
-            } else {
-                0.0
-            },
-            threads: self.cfg.threads,
-            slab_high_water: slab.high_water,
-            allocs_per_kilocycle: slab.allocs as f64 * 1000.0 / self.now.max(1) as f64,
-            cycles_skipped: self.cycles_skipped,
-            state_digest: self.state_digest(),
-        }
-    }
-
-    /// Whether no packet is in flight and all NIs are idle.
-    #[must_use]
-    pub fn is_drained(&self) -> bool {
-        self.txs.iter().all(Slab::is_empty) && self.nis.iter().all(NetworkInterface::is_idle)
-    }
-
-    /// The engine's half of the event-horizon contract
-    /// (`simkit::horizon`): the earliest future cycle at which the mesh
-    /// itself can change state without new stimulus. With flits or
-    /// transfers in flight that is the very next cycle (`At(now)`); a
-    /// fully drained mesh is [`Horizon::Never`] — a fixed point until a
-    /// source injects.
-    ///
-    /// Draining alone ([`is_drained`](Self::is_drained)) is not a fixed
-    /// point: a buffer emptied by the delivery that retired the last
-    /// record still carries a stale cycle snapshot until its next
-    /// `begin_cycle` (it sits in the hot set awaiting exactly that), and
-    /// that refresh *is* a state change. The horizon therefore also
-    /// requires every buffer to be [`Fifo::is_idle`] — reached one or two
-    /// cycles after the drain — so a skip never jumps over a pending
-    /// refresh.
-    #[must_use]
-    pub fn horizon(&self) -> Horizon {
-        if self.is_drained() && self.bufs.iter().all(Fifo::is_idle) {
-            Horizon::Never
-        } else {
-            Horizon::At(self.now)
-        }
-    }
-
-    /// Event-horizon time skipping: when nothing observable can happen
-    /// before some future cycle — the mesh is drained *and* the source's
-    /// [`TrafficSource::next_arrival`] is strictly after `now` — jump
-    /// `now` straight to that cycle (clamped to `deadline`) instead of
-    /// ticking empty cycles. Returns the new `now` when a skip happened.
-    ///
-    /// Same correctness argument as the PATRONoC engine's `try_skip`:
-    /// quiescence makes stepping a drained mesh a state no-op, and the
-    /// source horizon promises every earlier `poll` yields `None` without
-    /// touching the random stream, so the skipped span is bit-for-bit
-    /// unobservable. Disabled by [`PacketNocConfig::time_skip`] = false
-    /// or [`PacketNocConfig::full_sweep`].
-    pub fn try_skip<S: TrafficSource + ?Sized>(
-        &mut self,
-        source: &S,
-        deadline: Cycle,
-    ) -> Option<Cycle> {
-        if !self.cfg.time_skip || self.cfg.full_sweep || self.now >= deadline {
-            return None;
-        }
-        let mut tracker = HorizonTracker::new();
-        tracker.observe(self.horizon());
-        tracker.observe(source.next_arrival(self.now));
-        let horizon = tracker.earliest();
-        if !horizon.is_after(self.now) {
-            return None;
-        }
-        // Both parties are quiet until the horizon: a `Never`/`Never`
-        // combination rides to the deadline (the run then stops on
-        // Budget exactly as the reference loop would).
-        let target = horizon.target(deadline);
-        if target <= self.now {
-            return None;
-        }
-        self.cycles_skipped += target - self.now;
-        self.now = target;
-        Some(target)
     }
 
     /// Telemetry of the in-flight-transfer arena — what
@@ -416,28 +212,13 @@ impl PacketNocSim {
         self.work_items
     }
 
-    /// One simulation cycle: activity-driven by default, or the reference
-    /// full sweep when [`PacketNocConfig::full_sweep`] is set. Both paths
-    /// produce bit-identical state evolution.
-    pub fn step<S: TrafficSource + ?Sized>(&mut self, source: &mut S) {
-        if self.cfg.full_sweep {
-            self.step_full(source);
-        } else {
-            self.step_active(source);
-        }
-    }
-
     /// Stimulus, bounded per cycle and per NI backlog (see
     /// `PacketNocConfig::ni_queue_cap`): a saturated mesh backpressures
     /// the generator instead of buffering an unbounded transfer backlog.
     /// Runs full-sweep in both stepping modes — sources are stateful, so
     /// the poll call sequence must not depend on mesh activity. Reports
     /// via `wake` each node whose NI accepted at least one transfer.
-    fn poll_stimulus<S: TrafficSource + ?Sized>(
-        &mut self,
-        source: &mut S,
-        mut wake: impl FnMut(usize),
-    ) {
+    fn poll_stimulus(&mut self, source: &mut dyn TrafficSource, mut wake: impl FnMut(usize)) {
         for node in 0..self.cfg.num_nodes() {
             for _ in 0..64 {
                 if self.nis[node].queued() >= self.cfg.ni_queue_cap {
@@ -483,7 +264,7 @@ impl PacketNocSim {
     /// behaviour, kept as the equivalence oracle). Also the body of the
     /// saturated regime; returns the number of live buffers so that
     /// regime knows when precise tracking starts paying again.
-    fn step_full<S: TrafficSource + ?Sized>(&mut self, source: &mut S) -> usize {
+    fn step_full(&mut self, source: &mut dyn TrafficSource) -> usize {
         let vcs = self.cfg.vcs;
         let (cols, rows) = (self.cfg.cols, self.cfg.rows);
         self.work_items += (self.bufs.len() + 2 * self.nis.len()) as u64;
@@ -549,25 +330,21 @@ impl PacketNocSim {
     /// quiescent and skipped components would have been no-ops, so state
     /// evolution is bit-identical. A saturated mesh runs bookkeeping-free
     /// full-sweep cycles instead (see the `saturated` field).
-    fn step_active<S: TrafficSource + ?Sized>(&mut self, source: &mut S) {
+    fn step_active(&mut self, source: &mut dyn TrafficSource) {
         let comps = 2 * self.nis.len();
         let full_items = self.bufs.len() + comps;
         if self.saturated {
             let live = self.step_full(source);
             // Counterfactual precise-mode cost ≈ live buffers + every NI
             // and router.
-            if self
-                .cfg
-                .saturate
-                .should_desaturate(live + comps, full_items)
-            {
+            if should_desaturate(live + comps, full_items) {
                 self.saturated = false;
                 self.rebuild_sets();
             }
             return;
         }
         let tracked = self.step_tracked(source);
-        if self.cfg.saturate.should_saturate(tracked, full_items) {
+        if should_saturate(tracked, full_items) {
             self.saturated = true;
             self.hot_bufs.clear();
             self.hot_nis.clear();
@@ -577,7 +354,7 @@ impl PacketNocSim {
 
     /// One precisely tracked cycle (the non-saturated regime). Returns the
     /// number of work items it touched (the regime switch input).
-    fn step_tracked<S: TrafficSource + ?Sized>(&mut self, source: &mut S) -> usize {
+    fn step_tracked(&mut self, source: &mut dyn TrafficSource) -> usize {
         let vcs = self.cfg.vcs;
         let (cols, rows) = (self.cfg.cols, self.cfg.rows);
         let bufs_per_node = PORTS * vcs;
@@ -667,7 +444,7 @@ impl PacketNocSim {
     /// and a serial commit replays boundary pushes in ascending buffer
     /// order and delivery bookkeeping in ascending region (= ascending
     /// node) order — bit-identical to the serial full sweep.
-    fn step_sharded<S: TrafficSource + ?Sized>(&mut self, source: &mut S, crew: &Crew<'_>) {
+    fn step_sharded(&mut self, source: &mut dyn TrafficSource, crew: &Crew<'_>) {
         let mut sharding = self
             .sharding
             .take()
@@ -766,6 +543,167 @@ impl PacketNocSim {
     }
 }
 
+impl Engine for PacketNocSim {
+    /// One simulation cycle: activity-driven by default, or the reference
+    /// full sweep when [`PacketNocConfig::full_sweep`] is set. Both paths
+    /// produce bit-identical state evolution.
+    fn step(&mut self, source: &mut dyn TrafficSource) {
+        if self.cfg.full_sweep {
+            self.step_full(source);
+        } else {
+            self.step_active(source);
+        }
+    }
+
+    fn now(&self) -> Cycle {
+        self.now
+    }
+
+    /// Whether no packet is in flight and all NIs are idle.
+    fn is_drained(&self) -> bool {
+        self.txs.iter().all(Slab::is_empty) && self.nis.iter().all(NetworkInterface::is_idle)
+    }
+
+    fn begin_measurement(&mut self, start: Cycle) {
+        self.meter = ThroughputMeter::new(start);
+    }
+
+    /// Latency is sampled per *packet* (injection → tail delivery), the
+    /// baseline's native unit. `threads` is the number of row bands that
+    /// ran: the region partition clamps [`PacketNocConfig::threads`] to the
+    /// row count.
+    fn snapshot_report(&self) -> SimReport {
+        let slab = self.allocation_stats();
+        SimReport {
+            cycles: self.now,
+            payload_bytes: self.meter.bytes(),
+            throughput_gib_s: self.meter.throughput_gib_s(self.now),
+            throughput_bytes_s: self.meter.throughput_bytes_s(self.now),
+            transfers_completed: self.transfers_completed,
+            mean_latency: self.latency.mean(),
+            p99_latency: self.latency.quantile(0.99),
+            stop_reason: self.stop_reason,
+            cycles_per_sec: if self.wall_secs > 0.0 {
+                self.wall_cycles as f64 / self.wall_secs
+            } else {
+                0.0
+            },
+            threads: self.sharding.as_ref().map_or(1, |s| s.ctxs.len()),
+            slab_high_water: slab.high_water,
+            allocs_per_kilocycle: slab.allocs as f64 * 1000.0 / self.now.max(1) as f64,
+            cycles_skipped: self.cycles_skipped,
+            state_digest: self.state_digest(),
+        }
+    }
+
+    fn snapshot(&self) -> Vec<u8> {
+        let mut e = Encoder::new(Self::SNAP_KIND, self.shape());
+        self.encode_state(&mut e, true);
+        e.finish()
+    }
+
+    /// The bytes are validated (container digest first, then every
+    /// structural invariant) while rebuilding into a fresh engine, and only
+    /// a fully successful decode is committed. The snapshot must come from
+    /// an engine whose configuration matches this one's
+    /// [`shape`](PacketNocSim::shape).
+    fn restore(&mut self, bytes: &[u8]) -> Result<(), SnapError> {
+        let mut fresh = Self::new(self.cfg.clone());
+        fresh.decode_from(bytes)?;
+        *self = fresh;
+        Ok(())
+    }
+
+    /// Covers simulation time plus every buffer, router, NI and in-flight
+    /// record, and the delivery counters and latency histogram they feed.
+    /// Excluded on purpose — the meter (its warm-up split differs between
+    /// a straight run and a warm-started fork measuring the same window),
+    /// the scheduler and slab telemetry (both differ between serial and
+    /// sharded stepping while the simulated hardware state does not), and
+    /// the stop reason.
+    fn state_digest(&self) -> u64 {
+        let mut e = Encoder::new(Self::SNAP_KIND, self.shape());
+        self.encode_state(&mut e, false);
+        e.digest()
+    }
+
+    /// With [`PacketNocConfig::threads`] > 1 on a multi-row mesh, the
+    /// cycle loop runs region-sharded on a crew of worker threads, one row
+    /// band each; the results are bit-identical to the serial loop.
+    fn run(
+        &mut self,
+        source: &mut dyn TrafficSource,
+        max_cycles: Cycle,
+        warmup: Cycle,
+    ) -> SimReport {
+        self.begin_measurement(self.now + warmup);
+        let skip = !self.cfg.full_sweep;
+        let Some(workers) = self.sharding.as_ref().map(|s| s.ctxs.len()) else {
+            return drive(self, source, max_cycles, skip, Self::step);
+        };
+        // Sharded cycles are parallel full sweeps: there is no per-item
+        // activity tracking across regions, so run in the saturated
+        // regime (empty sets, full-sweep semantics). Serial stepping
+        // after this run remains exact — the saturated regime is a legal
+        // scheduler state it knows how to leave.
+        self.saturated = true;
+        self.hot_bufs.clear();
+        self.hot_nis.clear();
+        self.hot_routers.clear();
+        crew_scope(workers, |crew| {
+            drive(self, source, max_cycles, skip, |sim, src| {
+                sim.step_sharded(src, crew);
+            })
+        })
+    }
+
+    /// With flits or transfers in flight the horizon is the very next
+    /// cycle (`At(now)`); a fully drained mesh is [`Horizon::Never`] — a
+    /// fixed point until a source injects.
+    ///
+    /// Draining alone ([`is_drained`](Engine::is_drained)) is not a fixed
+    /// point: a buffer emptied by the delivery that retired the last
+    /// record still carries a stale cycle snapshot until its next
+    /// `begin_cycle` (it sits in the hot set awaiting exactly that), and
+    /// that refresh *is* a state change. The horizon therefore also
+    /// requires every buffer to be [`Fifo::is_idle`] — reached one or two
+    /// cycles after the drain — so a skip never jumps over a pending
+    /// refresh.
+    fn horizon(&self) -> Horizon {
+        if self.is_drained() && self.bufs.iter().all(Fifo::is_idle) {
+            Horizon::Never
+        } else {
+            Horizon::At(self.now)
+        }
+    }
+
+    /// Flit-level progress: any metered byte, delivered packet or
+    /// completed NI injection counts.
+    fn progress_marker(&self) -> (u64, u64) {
+        let injected: u64 = self
+            .nis
+            .iter()
+            .map(NetworkInterface::packets_injected)
+            .sum();
+        (
+            self.meter.bytes() + self.meter.warmup_bytes(),
+            self.packets_delivered + injected,
+        )
+    }
+
+    fn skip_to(&mut self, target: Cycle) {
+        debug_assert_eq!(self.horizon(), Horizon::Never, "skip over a live mesh");
+        self.cycles_skipped += target - self.now;
+        self.now = target;
+    }
+
+    fn end_run(&mut self, stop: StopReason, cycles: Cycle, wall_secs: f64) {
+        self.stop_reason = stop;
+        self.wall_cycles += cycles;
+        self.wall_secs += wall_secs;
+    }
+}
+
 /// Checkpointing: compact binary snapshots of the complete deterministic
 /// simulation state (see `simkit::snap` for the container format). A
 /// snapshot captures everything the cycle loop evolves — flit buffers,
@@ -787,12 +725,12 @@ impl PacketNocSim {
 
     /// Configuration fingerprint carried in the snapshot header: FNV-1a 64
     /// over the canonical encoding of every behaviour-affecting
-    /// configuration field. The stepping-strategy knobs —
-    /// [`PacketNocConfig::threads`], [`PacketNocConfig::full_sweep`] and
-    /// the saturate thresholds — are deliberately **excluded**: every
-    /// stepping strategy evolves bit-identical state (pinned by the
-    /// equivalence tests), so a snapshot is portable across all of them
-    /// and the state digest never depends on how the state was stepped.
+    /// configuration field. The two stepping-strategy knobs —
+    /// [`PacketNocConfig::threads`] and [`PacketNocConfig::full_sweep`] —
+    /// are deliberately **excluded**: every stepping strategy evolves
+    /// bit-identical state (pinned by the equivalence tests), so a
+    /// snapshot is portable across all of them and the state digest never
+    /// depends on how the state was stepped.
     #[must_use]
     pub fn shape(&self) -> u64 {
         let cfg = &self.cfg;
@@ -806,34 +744,6 @@ impl PacketNocSim {
         e.u32(cfg.payload_per_packet);
         e.u32(cfg.router_extra_latency);
         e.usize(cfg.ni_queue_cap);
-        e.digest()
-    }
-
-    /// Serializes the complete deterministic state as a self-validating
-    /// byte string. Restoring it (on an engine built from an equivalent
-    /// configuration) and continuing reproduces a straight run bit for
-    /// bit.
-    #[must_use]
-    pub fn snapshot(&self) -> Vec<u8> {
-        let mut e = Encoder::new(Self::SNAP_KIND, self.shape());
-        self.encode_state(&mut e, true);
-        e.finish()
-    }
-
-    /// FNV-1a 64 digest of the canonical *comparable* state: simulation
-    /// time plus every buffer, router, NI and in-flight record, and the
-    /// delivery counters and latency histogram they feed. Excluded on
-    /// purpose — the meter (its warm-up split differs between a straight
-    /// run and a warm-started fork measuring the same window), the
-    /// scheduler and slab telemetry (both differ between serial and
-    /// sharded stepping while the simulated hardware state does not), and
-    /// the stop reason. Equal digests ⇔ equal hardware state, which is
-    /// what the serial-vs-sharded and straight-vs-fork equivalence tests
-    /// assert.
-    #[must_use]
-    pub fn state_digest(&self) -> u64 {
-        let mut e = Encoder::new(Self::SNAP_KIND, self.shape());
-        self.encode_state(&mut e, false);
         e.digest()
     }
 
@@ -953,26 +863,6 @@ impl PacketNocSim {
                 e.u64(s.high_water);
             });
         }
-    }
-
-    /// Replaces this engine's state with the snapshot's, **all or
-    /// nothing**: the bytes are validated (container digest first, then
-    /// every structural invariant) while rebuilding into a fresh engine,
-    /// and only a fully successful decode is committed — on any error the
-    /// current state is left untouched.
-    ///
-    /// The snapshot must come from an engine whose configuration matches
-    /// this one's [`shape`](Self::shape); thread count may differ.
-    ///
-    /// # Errors
-    ///
-    /// A [`SnapError`] naming the first violated container or engine
-    /// invariant.
-    pub fn restore(&mut self, bytes: &[u8]) -> Result<(), SnapError> {
-        let mut fresh = Self::new(self.cfg.clone());
-        fresh.decode_from(bytes)?;
-        *self = fresh;
-        Ok(())
     }
 
     /// Decodes `bytes` into this (freshly built) engine. Every index and
@@ -1328,27 +1218,51 @@ mod tests {
         assert!(backlog_small <= 2, "backlog {backlog_small} exceeds cap");
     }
 
+    /// The Poisson workload the stepping cross-checks below share.
+    fn uniform(load: f64) -> traffic::UniformRandom {
+        traffic::UniformRandom::new(traffic::UniformConfig {
+            masters: 16,
+            slaves: (0..16).collect(),
+            load,
+            bytes_per_cycle: 4.0,
+            max_transfer: 100,
+            read_fraction: 0.5,
+            region_size: 1 << 24,
+            seed: 0x5EED,
+        })
+    }
+
+    /// Runs the Poisson workload in active or full-sweep mode.
+    fn run_mode(full_sweep: bool, load: f64, window: u64) -> (simkit::SimReport, u64, u64) {
+        let cfg = PacketNocConfig {
+            full_sweep,
+            ..PacketNocConfig::noxim_high_performance()
+        };
+        let mut sim = PacketNocSim::new(cfg);
+        let report = sim.run(&mut uniform(load), window, window / 5);
+        (report, sim.packets_delivered(), sim.work_items())
+    }
+
     /// Runs the same Poisson workload in active and full-sweep mode.
     fn run_both_modes(load: f64, window: u64) -> [(simkit::SimReport, u64, u64); 2] {
-        [true, false].map(|full_sweep| {
-            let cfg = PacketNocConfig {
-                full_sweep,
-                ..PacketNocConfig::noxim_high_performance()
-            };
-            let mut sim = PacketNocSim::new(cfg);
-            let mut src = traffic::UniformRandom::new(traffic::UniformConfig {
-                masters: 16,
-                slaves: (0..16).collect(),
-                load,
-                bytes_per_cycle: 4.0,
-                max_transfer: 100,
-                read_fraction: 0.5,
-                region_size: 1 << 24,
-                seed: 0x5EED,
-            });
-            let report = sim.run(&mut src, window, window / 5);
-            (report, sim.packets_delivered(), sim.work_items())
-        })
+        [true, false].map(|full_sweep| run_mode(full_sweep, load, window))
+    }
+
+    /// Steps the active engine through the same workload one
+    /// [`Engine::step`] at a time, measuring from where [`Engine::run`]
+    /// would: the plain cycle loop, which never jumps.
+    fn run_cycle_loop(load: f64, window: u64) -> (simkit::SimReport, u64, u64) {
+        let mut sim = PacketNocSim::new(PacketNocConfig::noxim_high_performance());
+        let mut src = uniform(load);
+        sim.begin_measurement(window / 5);
+        for _ in 0..window {
+            sim.step(&mut src);
+        }
+        (
+            sim.snapshot_report(),
+            sim.packets_delivered(),
+            sim.work_items(),
+        )
     }
 
     #[test]
@@ -1357,45 +1271,26 @@ mod tests {
             let [(fr, fp, _), (ar, ap, _)] = run_both_modes(load, 20_000);
             assert_eq!(fr, ar, "report differs at load {load}");
             assert_eq!(fp, ap, "packet count differs at load {load}");
+            assert_eq!(fr.cycles_skipped, 0, "reference must not skip");
         }
-    }
-
-    /// Runs the same Poisson workload with time skipping on or off.
-    fn run_skip_modes(load: f64, window: u64) -> [(simkit::SimReport, u64); 2] {
-        [false, true].map(|time_skip| {
-            let cfg = PacketNocConfig {
-                time_skip,
-                ..PacketNocConfig::noxim_high_performance()
-            };
-            let mut sim = PacketNocSim::new(cfg);
-            let mut src = traffic::UniformRandom::new(traffic::UniformConfig {
-                masters: 16,
-                slaves: (0..16).collect(),
-                load,
-                bytes_per_cycle: 4.0,
-                max_transfer: 100,
-                read_fraction: 0.5,
-                region_size: 1 << 24,
-                seed: 0x5EED,
-            });
-            let report = sim.run(&mut src, window, window / 5);
-            (report, sim.packets_delivered())
-        })
     }
 
     #[test]
     fn time_skipping_is_bit_identical_to_the_cycle_loop() {
+        // Both sides step actively, so the horizon jumps `run` takes over
+        // idle gaps are the only difference.
         for load in [0.001, 0.3, 1.0] {
-            let [(rr, rp), (sr, sp)] = run_skip_modes(load, 20_000);
-            assert_eq!(rr, sr, "report differs at load {load}");
-            assert_eq!(rp, sp, "packet count differs at load {load}");
-            assert_eq!(rr.cycles_skipped, 0, "reference must not skip");
+            let (sr, sp, _) = run_mode(false, load, 20_000);
+            let (lr, lp, _) = run_cycle_loop(load, 20_000);
+            assert_eq!(lr, sr, "report differs at load {load}");
+            assert_eq!(lp, sp, "packet count differs at load {load}");
+            assert_eq!(lr.cycles_skipped, 0, "the cycle loop must not skip");
         }
     }
 
     #[test]
     fn time_skipping_crosses_idle_gaps_at_low_load() {
-        let [_, (skipped, _)] = run_skip_modes(0.001, 20_000);
+        let [_, (skipped, ..)] = run_both_modes(0.001, 20_000);
         assert!(
             skipped.cycles_skipped > 10_000,
             "only {} of 20 000 mostly-idle cycles skipped",
@@ -1403,7 +1298,7 @@ mod tests {
         );
         // A saturated mesh has essentially no idle gaps (a stray cycle
         // before the very first arrivals land is fine).
-        let [_, (busy, _)] = run_skip_modes(1.0, 20_000);
+        let [_, (busy, ..)] = run_both_modes(1.0, 20_000);
         assert!(
             busy.cycles_skipped < 100,
             "saturated run skipped {} cycles",
@@ -1417,7 +1312,6 @@ mod tests {
             full_sweep: true,
             ..PacketNocConfig::noxim_compact()
         };
-        assert!(cfg.time_skip, "skip defaults on even in the debug sweep");
         let mut sim = PacketNocSim::new(cfg);
         let mut src = OneEach::new(16, 100);
         let report = sim.run(&mut src, 1_000_000, 0);
@@ -1433,17 +1327,7 @@ mod tests {
             ..PacketNocConfig::noxim_high_performance()
         };
         let mut sim = PacketNocSim::new(cfg);
-        let mut src = traffic::UniformRandom::new(traffic::UniformConfig {
-            masters: 16,
-            slaves: (0..16).collect(),
-            load,
-            bytes_per_cycle: 4.0,
-            max_transfer: 100,
-            read_fraction: 0.5,
-            region_size: 1 << 24,
-            seed: 0x5EED,
-        });
-        let report = sim.run(&mut src, window, window / 5);
+        let report = sim.run(&mut uniform(load), window, window / 5);
         (report, sim.packets_delivered())
     }
 

@@ -24,7 +24,7 @@
 //!
 //! ```
 //! use packetnoc::{PacketNocConfig, PacketNocSim};
-//! use traffic::{UniformConfig, UniformRandom};
+//! use traffic::{Engine, UniformConfig, UniformRandom};
 //!
 //! let cfg = PacketNocConfig::noxim_high_performance(); // 4 VCs, 32 flits
 //! let mut sim = PacketNocSim::new(cfg);

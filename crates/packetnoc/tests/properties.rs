@@ -6,7 +6,7 @@ use packetnoc::{PacketNocConfig, PacketNocSim};
 use proptest::prelude::*;
 use simkit::Cycle;
 use std::collections::VecDeque;
-use traffic::{TrafficSource, Transfer, TransferKind};
+use traffic::{Engine, TrafficSource, Transfer, TransferKind};
 
 struct Scripted {
     queues: Vec<VecDeque<Transfer>>,

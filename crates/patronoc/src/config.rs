@@ -3,7 +3,6 @@
 use crate::routing::{Connectivity, RoutingAlgorithm};
 use crate::topology::Topology;
 use axi::{AxiParams, ConfigError};
-use simkit::SaturateThresholds;
 
 /// Configuration of one PATRONoC instance plus its evaluation testbench.
 ///
@@ -58,22 +57,14 @@ pub struct NocConfig {
     pub slaves: Vec<usize>,
     /// Debug mode: step *every* link, XP, DMA and memory slave every cycle
     /// (the pre-activity-driven behaviour) instead of only the components
-    /// the scheduler knows to be live. Results are bit-identical either
+    /// the scheduler knows to be live, and never skip idle time (the
+    /// default run jumps `now` across provably idle gaps — see
+    /// `traffic::drive`). Results are bit-identical either
     /// way — `crates/bench/tests/equivalence.rs` pins that — so this
     /// exists purely as the reference against which the active-set path is
     /// cross-checked, and as a bisection aid if a future change ever
     /// breaks the quiescence contract.
     pub full_sweep: bool,
-    /// Event-horizon time skipping (default on): when the NoC is fully
-    /// drained and the traffic source reports its next arrival strictly in
-    /// the future (`simkit::horizon`), the run loop jumps `now` across the
-    /// idle gap in one step instead of ticking empty cycles. Results are
-    /// **bit-identical** either way — the quiescence contract the
-    /// active-set scheduler already proves makes empty cycles state
-    /// no-ops — and the equivalence suite pins that; the knob exists so
-    /// the reference path stays runnable. [`full_sweep`](Self::full_sweep)
-    /// forces it off: the debug sweep steps every cycle by definition.
-    pub time_skip: bool,
     /// Worker threads for region-sharded execution (default 1 = the serial
     /// cycle loop). With more than one thread the mesh is partitioned into
     /// contiguous row bands (at most one per row) that step in parallel
@@ -81,11 +72,6 @@ pub struct NocConfig {
     /// thread count — the equivalence suite pins that — so this knob trades
     /// wall clock only.
     pub threads: usize,
-    /// Two-regime scheduler thresholds (saturated-regime entry/exit). The
-    /// default reproduces the previously hard-coded
-    /// [`simkit::sched::SATURATE_ENTER`] / [`simkit::sched::SATURATE_EXIT`]
-    /// fractions bit-for-bit.
-    pub saturate: SaturateThresholds,
 }
 
 impl NocConfig {
@@ -109,9 +95,7 @@ impl NocConfig {
             masters: (0..n).collect(),
             slaves: (0..n).collect(),
             full_sweep: false,
-            time_skip: true,
             threads: 1,
-            saturate: SaturateThresholds::default(),
         }
     }
 

@@ -33,14 +33,11 @@ use axi::addr::Region;
 use axi::{AddressMap, ConfigError};
 use simkit::pool::{crew_scope, Crew};
 use simkit::region::{DisjointSlots, RegionMap};
-use simkit::sched::ActiveSet;
+use simkit::sched::{should_desaturate, should_saturate, ActiveSet};
 use simkit::slab::SlabStats;
 use simkit::snap::{DecodeLimits, Decoder, Encoder, SnapError};
-use simkit::{
-    Cycle, Histogram, Horizon, HorizonTracker, ProgressWatchdog, SimReport, Slab, StopReason,
-    ThroughputMeter,
-};
-use traffic::TrafficSource;
+use simkit::{Cycle, Histogram, Horizon, SimReport, Slab, StopReason, ThroughputMeter};
+use traffic::{drive, Engine, TrafficSource};
 
 /// The component at one end of a link, for activity propagation: a live
 /// link wakes both of its endpoints.
@@ -172,11 +169,11 @@ pub struct NocSim {
     meter: ThroughputMeter,
     stop_reason: StopReason,
     sched: Sched,
-    /// Cycles stepped inside timed [`run`](Self::run) loops.
+    /// Cycles stepped inside timed [`run`](Engine::run) loops.
     wall_cycles: Cycle,
-    /// Wall-clock seconds spent inside timed [`run`](Self::run) loops.
+    /// Wall-clock seconds spent inside timed [`run`](Engine::run) loops.
     wall_secs: f64,
-    /// Cycles crossed by event-horizon time skipping ([`Self::try_skip`])
+    /// Cycles crossed by event-horizon time skipping ([`Engine::skip_to`])
     /// instead of stepping. Cumulative telemetry like `wall_cycles`:
     /// excluded from snapshots and never reset on restore.
     cycles_skipped: u64,
@@ -342,130 +339,10 @@ impl NocSim {
         &self.map
     }
 
-    /// Current simulation time.
-    #[must_use]
-    pub fn now(&self) -> Cycle {
-        self.now
-    }
-
-    /// Why the last [`run`](Self::run) stopped.
+    /// Why the last [`run`](Engine::run) stopped.
     #[must_use]
     pub fn stop_reason(&self) -> StopReason {
         self.stop_reason
-    }
-
-    /// Arms the throughput meter to start measuring at absolute cycle
-    /// `start` — what [`run`](Self::run) does internally; exposed for
-    /// callers driving the engine cycle by cycle via [`step`](Self::step).
-    pub fn begin_measurement(&mut self, start: Cycle) {
-        self.meter = ThroughputMeter::new(start);
-        // Shard meters share the cutoff so a byte recorded by a region is
-        // classified (warm-up vs window) exactly as the run meter would.
-        if let Some(s) = &mut self.sharding {
-            for ctx in &mut s.ctxs {
-                ctx.meter = ThroughputMeter::new(start);
-            }
-        }
-    }
-
-    /// Runs the simulation for at most `max_cycles`, measuring throughput
-    /// after `warmup` cycles. Stops early when the source reports
-    /// [`TrafficSource::is_done`] and the NoC has drained.
-    ///
-    /// With [`NocConfig::threads`] > 1 on a multi-row topology, the cycle
-    /// loop runs region-sharded: a crew of worker threads (reused across
-    /// the whole run) steps one row band each behind a per-cycle barrier,
-    /// with boundary links exchanged through mirrors in fixed link order.
-    /// The results are bit-identical to the serial loop.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the NoC makes no forward progress for 100 000 cycles
-    /// while work is pending — that indicates a protocol deadlock, which the
-    /// routing validation is supposed to exclude.
-    pub fn run<S: TrafficSource + ?Sized>(
-        &mut self,
-        source: &mut S,
-        max_cycles: Cycle,
-        warmup: Cycle,
-    ) -> SimReport {
-        self.begin_measurement(self.now + warmup);
-        if self.sharding.is_some() {
-            // Sharded cycles are unconditional full sweeps. Park the
-            // scheduler in the saturated regime (its sets empty) so a
-            // caller stepping serially afterwards finds the exact state
-            // that regime's contract expects — `is_drained` full-scans,
-            // and the first serial `step_active` may desaturate and
-            // rebuild the sets from live state.
-            self.sched.saturated = true;
-            self.sched.hot_links.clear();
-            self.sched.dmas.clear();
-            self.sched.mems.clear();
-            self.sched.xps.clear();
-            let workers = self.sharding.as_ref().map_or(1, |s| s.ctxs.len());
-            crew_scope(workers, |crew| {
-                self.run_loop(source, max_cycles, Some(crew))
-            })
-        } else {
-            self.run_loop(source, max_cycles, None)
-        }
-    }
-
-    /// The timed cycle loop shared by the serial and sharded paths.
-    fn run_loop<S: TrafficSource + ?Sized>(
-        &mut self,
-        source: &mut S,
-        max_cycles: Cycle,
-        crew: Option<&Crew<'_>>,
-    ) -> SimReport {
-        let deadline = self.now + max_cycles;
-        let mut watchdog = ProgressWatchdog::new(self.now, self.progress_marker());
-        self.stop_reason = StopReason::Budget;
-        let wall_start = std::time::Instant::now();
-        let first_cycle = self.now;
-        while self.now < deadline {
-            match crew {
-                Some(crew) => self.step_sharded(source, crew),
-                None => self.step(source),
-            }
-            if let Some(since) = watchdog.observe(self.now, self.progress_marker()) {
-                if self.is_drained() {
-                    // Not a stall: the NoC is simply idle (e.g. waiting for
-                    // the next Poisson arrival at very low loads).
-                    watchdog.excuse(self.now);
-                    continue;
-                }
-                panic!(
-                    "deadlock: no progress since cycle {} (now {}), {} transfers done",
-                    since,
-                    self.now,
-                    self.transfers_completed()
-                );
-            }
-            if source.is_done() && self.is_drained() {
-                self.stop_reason = StopReason::Drained;
-                break;
-            }
-            if let Some(target) = self.try_skip(source, deadline) {
-                // The skipped span is provably uneventful, so the watchdog
-                // must not count it towards a stall.
-                watchdog.excuse(target);
-            }
-        }
-        self.wall_cycles += self.now - first_cycle;
-        self.wall_secs += wall_start.elapsed().as_secs_f64();
-        self.snapshot_report()
-    }
-
-    /// One simulation cycle: activity-driven by default, or the reference
-    /// full sweep when [`NocConfig::full_sweep`] is set. Both paths
-    /// produce bit-identical state evolution.
-    pub fn step<S: TrafficSource + ?Sized>(&mut self, source: &mut S) {
-        if self.cfg.full_sweep {
-            self.step_full(source);
-        } else {
-            self.step_active(source);
-        }
     }
 
     /// Pulls stimulus for every master (bounded per cycle to keep
@@ -475,11 +352,7 @@ impl NocSim {
     /// This runs full-sweep in both stepping modes: sources are stateful,
     /// so the poll call sequence must not depend on NoC activity. Returns
     /// via `wake` each DMA index that accepted at least one descriptor.
-    fn poll_stimulus<S: TrafficSource + ?Sized>(
-        &mut self,
-        source: &mut S,
-        mut wake: impl FnMut(usize),
-    ) {
+    fn poll_stimulus(&mut self, source: &mut dyn TrafficSource, mut wake: impl FnMut(usize)) {
         for di in 0..self.dmas.len() {
             let node = self.dmas[di].node();
             for _ in 0..64 {
@@ -529,7 +402,7 @@ impl NocSim {
     /// behaviour, kept as the equivalence oracle and bisection aid). Also
     /// the body of the saturated regime, which additionally counts live
     /// links to know when precise tracking starts paying again.
-    fn step_full<S: TrafficSource + ?Sized>(&mut self, source: &mut S) -> usize {
+    fn step_full(&mut self, source: &mut dyn TrafficSource) -> usize {
         self.sched.work_items +=
             (self.links.len() + self.dmas.len() + self.mems.len() + self.xps.len()) as u64;
         let mut live = 0usize;
@@ -602,7 +475,7 @@ impl NocSim {
     /// the bookkeeping-free saturated regime instead (see
     /// [`Sched::saturated`]) so the hot path never pays for tracking it
     /// cannot profit from.
-    fn step_active<S: TrafficSource + ?Sized>(&mut self, source: &mut S) {
+    fn step_active(&mut self, source: &mut dyn TrafficSource) {
         let comps = self.dmas.len() + self.mems.len() + self.xps.len();
         let full_items = self.links.len() + comps;
         if self.sched.saturated {
@@ -610,18 +483,14 @@ impl NocSim {
             // Counterfactual precise-mode cost ≈ live links + every
             // component (at this activity nearly all are next to a live
             // link anyway).
-            if self
-                .cfg
-                .saturate
-                .should_desaturate(live + comps, full_items)
-            {
+            if should_desaturate(live + comps, full_items) {
                 self.sched.saturated = false;
                 self.rebuild_sets();
             }
             return;
         }
         let tracked = self.step_tracked(source);
-        if self.cfg.saturate.should_saturate(tracked, full_items) {
+        if should_saturate(tracked, full_items) {
             self.sched.saturated = true;
             self.sched.hot_links.clear();
             self.sched.dmas.clear();
@@ -632,7 +501,7 @@ impl NocSim {
 
     /// One precisely tracked cycle (the non-saturated regime). Returns the
     /// number of work items it touched (the regime switch input).
-    fn step_tracked<S: TrafficSource + ?Sized>(&mut self, source: &mut S) -> usize {
+    fn step_tracked(&mut self, source: &mut dyn TrafficSource) -> usize {
         // Phase 1: refresh the hot links. Links still carrying beats (or
         // with stale snapshots) stay hot and wake both endpoints; the rest
         // fall asleep until a neighbouring component touches them again.
@@ -729,7 +598,7 @@ impl NocSim {
     /// components read only cycle snapshots and every channel has a single
     /// pusher and popper per cycle, so the per-region interleaving cannot
     /// be observed (see `crate::shard` for the full argument).
-    fn step_sharded<S: TrafficSource + ?Sized>(&mut self, source: &mut S, crew: &Crew<'_>) {
+    fn step_sharded(&mut self, source: &mut dyn TrafficSource, crew: &Crew<'_>) {
         let mut sharding = self
             .sharding
             .take()
@@ -845,94 +714,6 @@ impl NocSim {
         self.sharding = Some(sharding);
     }
 
-    /// Whether all endpoints and links are idle.
-    #[must_use]
-    pub fn is_drained(&self) -> bool {
-        // Fast path for the activity-driven mode: an empty scheduler means
-        // nothing is live anywhere (debug-asserted against the full scan).
-        // Not valid in the saturated regime, whose sets are deliberately
-        // empty.
-        if !self.cfg.full_sweep && !self.sched.saturated && self.sched.all_idle() {
-            debug_assert!(
-                self.dmas.iter().all(DmaEngine::is_idle)
-                    && self.mems.iter().all(MemorySlave::is_idle)
-                    && self.links.iter().all(AxiLink::is_idle),
-                "scheduler idle but the NoC is not drained"
-            );
-            return true;
-        }
-        self.dmas.iter().all(DmaEngine::is_idle)
-            && self.mems.iter().all(MemorySlave::is_idle)
-            && self.links.iter().all(AxiLink::is_idle)
-    }
-
-    /// The engine's half of the event-horizon contract
-    /// (`simkit::horizon`): the earliest future cycle at which the NoC
-    /// itself can change state without new stimulus. With work in flight
-    /// that is the very next cycle (`At(now)` — the engine models no
-    /// internal timers longer than a cycle, so it never looks further
-    /// ahead); fully drained it is [`Horizon::Never`], because a drained
-    /// two-phase NoC is a fixed point until a source injects.
-    ///
-    /// Draining alone ([`is_drained`](Self::is_drained)) is not a fixed
-    /// point: a link emptied this cycle still carries stale channel
-    /// snapshots until its next `begin_cycle` (it sits in the hot set
-    /// awaiting exactly that), and that refresh *is* a state change. The
-    /// horizon therefore also requires every link to be
-    /// [`AxiLink::is_quiescent`] — reached a cycle or two after the drain
-    /// — so a skip never jumps over a pending refresh.
-    #[must_use]
-    pub fn horizon(&self) -> Horizon {
-        if self.is_drained() && self.links.iter().all(AxiLink::is_quiescent) {
-            Horizon::Never
-        } else {
-            Horizon::At(self.now)
-        }
-    }
-
-    /// Event-horizon time skipping: when nothing observable can happen
-    /// before some future cycle — the NoC is drained *and* the source's
-    /// [`TrafficSource::next_arrival`] is strictly after `now` — jump
-    /// `now` straight to that cycle (clamped to `deadline`) instead of
-    /// ticking empty cycles. Returns the new `now` when a skip happened.
-    ///
-    /// Correctness leans on two existing contracts: the quiescence
-    /// property (stepping a drained NoC is a state no-op — the same fact
-    /// that lets the active-set scheduler skip components), and the
-    /// source horizon's promise that every `poll` strictly before the
-    /// returned cycle yields `None` without touching the random stream.
-    /// Together they make the skipped span bit-for-bit unobservable; the
-    /// equivalence suite pins skip ≡ no-skip across engines, traffic
-    /// classes and thread counts. Disabled by [`NocConfig::time_skip`] =
-    /// false or [`NocConfig::full_sweep`] (the reference path steps every
-    /// cycle by definition).
-    pub fn try_skip<S: TrafficSource + ?Sized>(
-        &mut self,
-        source: &S,
-        deadline: Cycle,
-    ) -> Option<Cycle> {
-        if !self.cfg.time_skip || self.cfg.full_sweep || self.now >= deadline {
-            return None;
-        }
-        let mut tracker = HorizonTracker::new();
-        tracker.observe(self.horizon());
-        tracker.observe(source.next_arrival(self.now));
-        let horizon = tracker.earliest();
-        if !horizon.is_after(self.now) {
-            return None;
-        }
-        // Both parties are quiet until the horizon: a `Never`/`Never`
-        // combination rides to the deadline (the run then stops on
-        // Budget exactly as the reference loop would).
-        let target = horizon.target(deadline);
-        if target <= self.now {
-            return None;
-        }
-        self.cycles_skipped += target - self.now;
-        self.now = target;
-        Some(target)
-    }
-
     /// Cumulative scheduler work: links refreshed plus components stepped,
     /// counted identically in active and full-sweep mode. Deterministic
     /// (unlike wall clock), which is what the equivalence tests assert the
@@ -979,19 +760,60 @@ impl NocSim {
     pub fn has_master(&self, node: usize) -> bool {
         self.dma_of_node.get(node).is_some_and(Option::is_some)
     }
+}
 
-    fn progress_marker(&self) -> (u64, u64) {
-        (
-            self.meter.bytes() + self.meter.warmup_bytes(),
-            self.transfers_completed(),
-        )
+impl Engine for NocSim {
+    /// One simulation cycle: activity-driven by default, or the reference
+    /// full sweep when [`NocConfig::full_sweep`] is set. Both paths
+    /// produce bit-identical state evolution.
+    fn step(&mut self, source: &mut dyn TrafficSource) {
+        if self.cfg.full_sweep {
+            self.step_full(source);
+        } else {
+            self.step_active(source);
+        }
     }
 
-    /// Snapshot of the metrics at the current cycle — latency sampled per
-    /// *transfer* (descriptor start → last response). [`run`](Self::run)
-    /// returns exactly this after its loop exits.
-    #[must_use]
-    pub fn snapshot_report(&self) -> SimReport {
+    fn now(&self) -> Cycle {
+        self.now
+    }
+
+    /// Whether all endpoints and links are idle.
+    fn is_drained(&self) -> bool {
+        // Fast path for the activity-driven mode: an empty scheduler means
+        // nothing is live anywhere (debug-asserted against the full scan).
+        // Not valid in the saturated regime, whose sets are deliberately
+        // empty.
+        if !self.cfg.full_sweep && !self.sched.saturated && self.sched.all_idle() {
+            debug_assert!(
+                self.dmas.iter().all(DmaEngine::is_idle)
+                    && self.mems.iter().all(MemorySlave::is_idle)
+                    && self.links.iter().all(AxiLink::is_idle),
+                "scheduler idle but the NoC is not drained"
+            );
+            return true;
+        }
+        self.dmas.iter().all(DmaEngine::is_idle)
+            && self.mems.iter().all(MemorySlave::is_idle)
+            && self.links.iter().all(AxiLink::is_idle)
+    }
+
+    fn begin_measurement(&mut self, start: Cycle) {
+        self.meter = ThroughputMeter::new(start);
+        // Shard meters share the cutoff so a byte recorded by a region is
+        // classified (warm-up vs window) exactly as the run meter would.
+        if let Some(s) = &mut self.sharding {
+            for ctx in &mut s.ctxs {
+                ctx.meter = ThroughputMeter::new(start);
+            }
+        }
+    }
+
+    /// Latency is sampled per *transfer* (descriptor start → last
+    /// response). `threads` is the number of row bands that ran: the
+    /// region partition clamps [`NocConfig::threads`] to the row count, and
+    /// a one-row topology never shards.
+    fn snapshot_report(&self) -> SimReport {
         let mut latency = Histogram::new();
         let mut total = 0.0;
         let mut count = 0u64;
@@ -1024,9 +846,114 @@ impl NocSim {
             slab_high_water: slab.high_water,
             allocs_per_kilocycle: slab.allocs as f64 * 1000.0 / self.now.max(1) as f64,
             cycles_skipped: self.cycles_skipped,
-            threads: self.cfg.threads,
+            threads: self.sharding.as_ref().map_or(1, |s| s.ctxs.len()),
             state_digest: self.state_digest(),
         }
+    }
+
+    fn snapshot(&self) -> Vec<u8> {
+        let mut e = Encoder::new(Self::SNAP_KIND, self.shape());
+        self.encode_state(&mut e, true);
+        e.finish()
+    }
+
+    /// The bytes are validated (container digest first, then every
+    /// structural invariant) while rebuilding into a fresh engine, and only
+    /// a fully successful decode is committed. The snapshot must come from
+    /// an engine whose configuration matches this one's
+    /// [`shape`](NocSim::shape).
+    fn restore(&mut self, bytes: &[u8]) -> Result<(), SnapError> {
+        let mut fresh = Self::new(self.cfg.clone()).expect("config was validated at construction");
+        fresh.decode_from(bytes)?;
+        *self = fresh;
+        Ok(())
+    }
+
+    /// Covers simulation time plus every link, XP and endpoint. Excluded
+    /// on purpose — the meter (its warm-up split differs between a
+    /// straight run and a warm-started fork measuring the same window),
+    /// the scheduler and slab telemetry (both differ between serial and
+    /// sharded stepping while the simulated hardware state does not), and
+    /// the stop reason.
+    fn state_digest(&self) -> u64 {
+        let mut e = Encoder::new(Self::SNAP_KIND, self.shape());
+        self.encode_state(&mut e, false);
+        e.digest()
+    }
+
+    /// With [`NocConfig::threads`] > 1 on a multi-row topology, the cycle
+    /// loop runs region-sharded: a crew of worker threads (reused across
+    /// the whole run) steps one row band each behind a per-cycle barrier,
+    /// with boundary links exchanged through mirrors in fixed link order.
+    /// The results are bit-identical to the serial loop.
+    fn run(
+        &mut self,
+        source: &mut dyn TrafficSource,
+        max_cycles: Cycle,
+        warmup: Cycle,
+    ) -> SimReport {
+        self.begin_measurement(self.now + warmup);
+        let skip = !self.cfg.full_sweep;
+        let Some(workers) = self.sharding.as_ref().map(|s| s.ctxs.len()) else {
+            return drive(self, source, max_cycles, skip, Self::step);
+        };
+        // Sharded cycles are unconditional full sweeps. Park the scheduler
+        // in the saturated regime (its sets empty) so a caller stepping
+        // serially afterwards finds the exact state that regime's contract
+        // expects — `is_drained` full-scans, and the first serial
+        // `step_active` may desaturate and rebuild the sets from live
+        // state.
+        self.sched.saturated = true;
+        self.sched.hot_links.clear();
+        self.sched.dmas.clear();
+        self.sched.mems.clear();
+        self.sched.xps.clear();
+        crew_scope(workers, |crew| {
+            drive(self, source, max_cycles, skip, |sim, src| {
+                sim.step_sharded(src, crew);
+            })
+        })
+    }
+
+    /// With work in flight the horizon is the very next cycle (`At(now)` —
+    /// the engine models no internal timers longer than a cycle, so it
+    /// never looks further ahead); fully drained it is [`Horizon::Never`],
+    /// because a drained two-phase NoC is a fixed point until a source
+    /// injects.
+    ///
+    /// Draining alone ([`is_drained`](Engine::is_drained)) is not a fixed
+    /// point: a link emptied this cycle still carries stale channel
+    /// snapshots until its next `begin_cycle` (it sits in the hot set
+    /// awaiting exactly that), and that refresh *is* a state change. The
+    /// horizon therefore also requires every link to be
+    /// [`AxiLink::is_quiescent`] — reached a cycle or two after the drain
+    /// — so a skip never jumps over a pending refresh.
+    fn horizon(&self) -> Horizon {
+        if self.is_drained() && self.links.iter().all(AxiLink::is_quiescent) {
+            Horizon::Never
+        } else {
+            Horizon::At(self.now)
+        }
+    }
+
+    /// Metered bytes (warm-up included) and completed transfers.
+    fn progress_marker(&self) -> (u64, u64) {
+        (
+            self.meter.bytes() + self.meter.warmup_bytes(),
+            self.transfers_completed(),
+        )
+    }
+
+    fn skip_to(&mut self, target: Cycle) {
+        debug_assert_eq!(self.horizon(), Horizon::Never, "skip over a live NoC");
+        self.cycles_skipped += target - self.now;
+        self.now = target;
+    }
+
+    fn end_run(&mut self, stop: StopReason, cycles: Cycle, wall_secs: f64) {
+        self.stop_reason = stop;
+        self.wall_cycles += cycles;
+        self.wall_secs += wall_secs;
     }
 }
 
@@ -1044,10 +971,10 @@ impl NocSim {
 
     /// Configuration fingerprint carried in the snapshot header: FNV-1a 64
     /// over the canonical encoding of every behaviour-affecting
-    /// configuration field. The stepping-strategy knobs —
-    /// [`NocConfig::threads`], [`NocConfig::full_sweep`] and the saturate
-    /// thresholds — are deliberately **excluded**: every stepping strategy
-    /// evolves bit-identical state (pinned by the equivalence tests), so a
+    /// configuration field. The two stepping-strategy knobs —
+    /// [`NocConfig::threads`] and [`NocConfig::full_sweep`] — are
+    /// deliberately **excluded**: every stepping strategy evolves
+    /// bit-identical state (pinned by the equivalence tests), so a
     /// snapshot is portable across all of them and the state digest never
     /// depends on how the state was stepped.
     #[must_use]
@@ -1096,32 +1023,6 @@ impl NocSim {
         for &s in &cfg.slaves {
             e.usize(s);
         }
-        e.digest()
-    }
-
-    /// Serializes the complete deterministic state as a self-validating
-    /// byte string. Restoring it (on an engine built from an equivalent
-    /// configuration) and continuing reproduces a straight run bit for
-    /// bit.
-    #[must_use]
-    pub fn snapshot(&self) -> Vec<u8> {
-        let mut e = Encoder::new(Self::SNAP_KIND, self.shape());
-        self.encode_state(&mut e, true);
-        e.finish()
-    }
-
-    /// FNV-1a 64 digest of the canonical *comparable* state: simulation
-    /// time plus every link, XP and endpoint. Excluded on purpose — the
-    /// meter (its warm-up split differs between a straight run and a
-    /// warm-started fork measuring the same window), the scheduler and
-    /// slab telemetry (both differ between serial and sharded stepping
-    /// while the simulated hardware state does not), and the stop reason.
-    /// Equal digests ⇔ equal hardware state, which is what the
-    /// serial-vs-sharded and straight-vs-fork equivalence tests assert.
-    #[must_use]
-    pub fn state_digest(&self) -> u64 {
-        let mut e = Encoder::new(Self::SNAP_KIND, self.shape());
-        self.encode_state(&mut e, false);
         e.digest()
     }
 
@@ -1199,26 +1100,6 @@ impl NocSim {
                 e.u64(w.high_water);
             });
         }
-    }
-
-    /// Replaces this engine's state with the snapshot's, **all or
-    /// nothing**: the bytes are validated (container digest first, then
-    /// every structural invariant) while rebuilding into a fresh engine,
-    /// and only a fully successful decode is committed — on any error the
-    /// current state is left untouched.
-    ///
-    /// The snapshot must come from an engine whose configuration matches
-    /// this one's [`shape`](Self::shape); thread count may differ.
-    ///
-    /// # Errors
-    ///
-    /// A [`SnapError`] naming the first violated container or engine
-    /// invariant.
-    pub fn restore(&mut self, bytes: &[u8]) -> Result<(), SnapError> {
-        let mut fresh = Self::new(self.cfg.clone()).expect("config was validated at construction");
-        fresh.decode_from(bytes)?;
-        *self = fresh;
-        Ok(())
     }
 
     /// Decodes `bytes` into this (freshly built) engine. Every index and
@@ -1722,73 +1603,61 @@ mod tests {
     /// Everything observable from one run, plus the work counter.
     type Observed = (SimReport, Vec<u64>, Vec<(usize, Dir, f64, f64)>, u64);
 
-    /// Runs the same Poisson workload in active and full-sweep mode and
-    /// returns everything observable.
+    /// The Poisson workload the stepping cross-checks below share.
+    fn uniform(load: f64) -> traffic::UniformRandom {
+        traffic::UniformRandom::new_copies(traffic::UniformConfig {
+            masters: 16,
+            slaves: (0..16).collect(),
+            load,
+            bytes_per_cycle: 4.0,
+            max_transfer: 1000,
+            read_fraction: 0.5,
+            region_size: 1 << 24,
+            seed: 0x5EED,
+        })
+    }
+
+    /// Runs the Poisson workload in active or full-sweep mode and returns
+    /// everything observable.
+    fn run_mode(full_sweep: bool, load: f64, window: u64) -> Observed {
+        let mut cfg = NocConfig::slim_4x4();
+        cfg.full_sweep = full_sweep;
+        let mut sim = NocSim::new(cfg).unwrap();
+        let report = sim.run(&mut uniform(load), window, window / 5);
+        (
+            report,
+            sim.slave_write_bytes(),
+            sim.link_occupancy(),
+            sim.work_items(),
+        )
+    }
+
+    /// Runs the same Poisson workload in active and full-sweep mode.
     fn run_both_modes(load: f64, window: u64) -> [Observed; 2] {
-        [true, false].map(|full_sweep| {
-            let mut cfg = NocConfig::slim_4x4();
-            cfg.full_sweep = full_sweep;
-            let mut sim = NocSim::new(cfg).unwrap();
-            let mut src = traffic::UniformRandom::new_copies(traffic::UniformConfig {
-                masters: 16,
-                slaves: (0..16).collect(),
-                load,
-                bytes_per_cycle: 4.0,
-                max_transfer: 1000,
-                read_fraction: 0.5,
-                region_size: 1 << 24,
-                seed: 0x5EED,
-            });
-            let report = sim.run(&mut src, window, window / 5);
-            (
-                report,
-                sim.slave_write_bytes(),
-                sim.link_occupancy(),
-                sim.work_items(),
-            )
-        })
+        [true, false].map(|full_sweep| run_mode(full_sweep, load, window))
     }
 
-    /// Runs the same Poisson workload with time skipping on or off.
-    fn run_skip_modes(load: f64, window: u64) -> [Observed; 2] {
-        [false, true].map(|time_skip| {
-            let mut cfg = NocConfig::slim_4x4();
-            cfg.time_skip = time_skip;
-            let mut sim = NocSim::new(cfg).unwrap();
-            let mut src = traffic::UniformRandom::new_copies(traffic::UniformConfig {
-                masters: 16,
-                slaves: (0..16).collect(),
-                load,
-                bytes_per_cycle: 4.0,
-                max_transfer: 1000,
-                read_fraction: 0.5,
-                region_size: 1 << 24,
-                seed: 0x5EED,
-            });
-            let report = sim.run(&mut src, window, window / 5);
-            (
-                report,
-                sim.slave_write_bytes(),
-                sim.link_occupancy(),
-                sim.work_items(),
-            )
-        })
-    }
-
-    #[test]
-    fn time_skipping_is_bit_identical_to_the_cycle_loop() {
-        for load in [0.001, 0.3, 1.0] {
-            let [(rr, rw, ro, _), (sr, sw, so, _)] = run_skip_modes(load, 20_000);
-            assert_eq!(rr, sr, "report differs at load {load}");
-            assert_eq!(rw, sw, "slave bytes differ at load {load}");
-            assert_eq!(ro, so, "link occupancy differs at load {load}");
-            assert_eq!(rr.cycles_skipped, 0, "reference must not skip");
+    /// Steps the active engine through the same workload one
+    /// [`Engine::step`] at a time, measuring from where [`Engine::run`]
+    /// would: the plain cycle loop, which never jumps.
+    fn run_cycle_loop(load: f64, window: u64) -> Observed {
+        let mut sim = NocSim::new(NocConfig::slim_4x4()).unwrap();
+        let mut src = uniform(load);
+        sim.begin_measurement(window / 5);
+        for _ in 0..window {
+            sim.step(&mut src);
         }
+        (
+            sim.snapshot_report(),
+            sim.slave_write_bytes(),
+            sim.link_occupancy(),
+            sim.work_items(),
+        )
     }
 
     #[test]
     fn time_skipping_crosses_idle_gaps_at_low_load() {
-        let [_, (skipped, ..)] = run_skip_modes(0.001, 20_000);
+        let [_, (skipped, ..)] = run_both_modes(0.001, 20_000);
         assert!(
             skipped.cycles_skipped > 10_000,
             "only {} of 20 000 mostly-idle cycles skipped",
@@ -1796,7 +1665,7 @@ mod tests {
         );
         // A saturated NoC has essentially no idle gaps (a stray cycle
         // before the very first arrivals land is fine).
-        let [_, (busy, ..)] = run_skip_modes(1.0, 20_000);
+        let [_, (busy, ..)] = run_both_modes(1.0, 20_000);
         assert!(
             busy.cycles_skipped < 100,
             "saturated run skipped {} cycles",
@@ -1808,7 +1677,6 @@ mod tests {
     fn full_sweep_forces_time_skipping_off() {
         let mut cfg = NocConfig::slim_4x4();
         cfg.full_sweep = true;
-        assert!(cfg.time_skip, "skip defaults on even in the debug sweep");
         let mut sim = NocSim::new(cfg).unwrap();
         let mut src = OneEach::new(16, 64, TransferKind::Write, |m| (m + 1) % 16);
         let report = sim.run(&mut src, 50_000, 0);
@@ -1823,6 +1691,21 @@ mod tests {
             assert_eq!(fr, ar, "report differs at load {load}");
             assert_eq!(fw, aw, "slave bytes differ at load {load}");
             assert_eq!(fo, ao, "link occupancy differs at load {load}");
+            assert_eq!(fr.cycles_skipped, 0, "reference must not skip");
+        }
+    }
+
+    #[test]
+    fn time_skipping_is_bit_identical_to_the_cycle_loop() {
+        // Both sides step actively, so the horizon jumps `run` takes over
+        // idle gaps are the only difference.
+        for load in [0.001, 0.3, 1.0] {
+            let (sr, sw, so, _) = run_mode(false, load, 20_000);
+            let (lr, lw, lo, _) = run_cycle_loop(load, 20_000);
+            assert_eq!(lr, sr, "report differs at load {load}");
+            assert_eq!(lw, sw, "slave bytes differ at load {load}");
+            assert_eq!(lo, so, "link occupancy differs at load {load}");
+            assert_eq!(lr.cycles_skipped, 0, "the cycle loop must not skip");
         }
     }
 
@@ -1833,17 +1716,7 @@ mod tests {
         let mut cfg = NocConfig::slim_4x4();
         cfg.threads = threads;
         let mut sim = NocSim::new(cfg).unwrap();
-        let mut src = traffic::UniformRandom::new_copies(traffic::UniformConfig {
-            masters: 16,
-            slaves: (0..16).collect(),
-            load,
-            bytes_per_cycle: 4.0,
-            max_transfer: 1000,
-            read_fraction: 0.5,
-            region_size: 1 << 24,
-            seed: 0x5EED,
-        });
-        let report = sim.run(&mut src, window, window / 5);
+        let report = sim.run(&mut uniform(load), window, window / 5);
         (
             report,
             sim.slave_write_bytes(),
@@ -1884,37 +1757,6 @@ mod tests {
             sim.step(&mut late);
         }
         assert_eq!(sim.transfers_completed(), 32);
-    }
-
-    #[test]
-    fn explicit_default_thresholds_are_bit_identical() {
-        let run = |saturate: Option<simkit::SaturateThresholds>| {
-            let mut cfg = NocConfig::slim_4x4();
-            if let Some(s) = saturate {
-                cfg.saturate = s;
-            }
-            let mut sim = NocSim::new(cfg).unwrap();
-            let mut src = traffic::UniformRandom::new_copies(traffic::UniformConfig {
-                masters: 16,
-                slaves: (0..16).collect(),
-                load: 0.8,
-                bytes_per_cycle: 4.0,
-                max_transfer: 1000,
-                read_fraction: 0.5,
-                region_size: 1 << 24,
-                seed: 7,
-            });
-            let r = sim.run(&mut src, 20_000, 4_000);
-            (r, sim.work_items())
-        };
-        // Spelling the shipped constants out must reproduce the default
-        // regime sequence exactly (work_items pins it, not just the
-        // report).
-        let explicit = simkit::SaturateThresholds {
-            enter: simkit::sched::SATURATE_ENTER,
-            exit: simkit::sched::SATURATE_EXIT,
-        };
-        assert_eq!(run(None), run(Some(explicit)));
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //!
 //! ```
 //! use patronoc::{NocConfig, NocSim};
-//! use traffic::{UniformConfig, UniformRandom};
+//! use traffic::{Engine, UniformConfig, UniformRandom};
 //!
 //! // The paper's slim 4×4 mesh (AXI_32_32_4, MOT = 8) under uniform
 //! // random traffic with DMA bursts up to 1 KiB.

@@ -7,7 +7,8 @@
 //! * [`Engine`] — one trait over both cycle-accurate engines
 //!   ([`patronoc::NocSim`] and [`packetnoc::PacketNocSim`]): step, drain
 //!   detection, measurement control, and a unified [`simkit::SimReport`]
-//!   snapshot.
+//!   snapshot. Defined in `traffic` beside the `TrafficSource` it pulls
+//!   stimulus from, and re-exported here.
 //! * [`Scenario`] — a builder-style description of one run (engine ×
 //!   topology × traffic × stop condition × seed) as a single inspectable,
 //!   JSON-serializable value. Master/slave placement and bytes-per-cycle
@@ -43,13 +44,12 @@
 
 #![forbid(unsafe_code)]
 
-pub mod engine;
 #[allow(clippy::module_inception)] // `scenario::Scenario` is the crate's point
 pub mod scenario;
 pub mod spec;
 pub mod warm;
 
-pub use engine::Engine;
 pub use scenario::{Scenario, ScenarioError};
 pub use spec::{EngineSpec, PacketProfile, TrafficSpec};
+pub use traffic::Engine;
 pub use warm::{capture_warm, run_warm, warm_key, WarmPoint};

@@ -1,14 +1,13 @@
 //! The builder-style [`Scenario`] runner.
 
-use crate::engine::Engine;
 use crate::spec::{EngineSpec, PacketProfile, TrafficSpec};
 use axi::{AxiParams, ConfigError};
 use patronoc::{Connectivity, NocConfig, NocSim, RoutingAlgorithm, Topology};
 use simkit::{Json, SimReport, StopReason};
 use std::fmt;
 use traffic::{
-    dnn::DnnConfig, DnnTraffic, SyntheticConfig, SyntheticTraffic, TrafficSource, UniformConfig,
-    UniformRandom,
+    dnn::DnnConfig, DnnTraffic, Engine, SyntheticConfig, SyntheticTraffic, TrafficSource,
+    UniformConfig, UniformRandom,
 };
 
 /// Why a scenario could not be instantiated or run.
@@ -132,12 +131,12 @@ pub struct Scenario {
     /// value — the knob trades wall clock only — so it stays out of the
     /// derived per-point seeds.
     pub threads: usize,
-    /// Event-horizon time skipping (default on): the engine jumps `now`
-    /// across provably idle gaps instead of ticking empty cycles. Results
-    /// are bit-identical either way (`simkit::horizon`), so like
-    /// [`threads`](Self::threads) the knob trades wall clock only and
+    /// Step every component every cycle, never skipping idle time (default
+    /// off): the reference the activity-driven, time-skipping engines are
+    /// cross-checked against. Results are bit-identical either way, so
+    /// like [`threads`](Self::threads) the knob trades wall clock only and
     /// stays out of the derived per-point seeds.
-    pub time_skip: bool,
+    pub full_sweep: bool,
 }
 
 impl Scenario {
@@ -164,7 +163,7 @@ impl Scenario {
             budget: None,
             seed: 0,
             threads: 1,
-            time_skip: true,
+            full_sweep: false,
         }
     }
 
@@ -290,11 +289,11 @@ impl Scenario {
         self
     }
 
-    /// Enables or disables event-horizon time skipping (on by default;
-    /// results are bit-identical either way).
+    /// Selects the full-sweep reference stepping (off by default; results
+    /// are bit-identical either way).
     #[must_use]
-    pub fn time_skip(mut self, enabled: bool) -> Self {
-        self.time_skip = enabled;
+    pub fn full_sweep(mut self, enabled: bool) -> Self {
+        self.full_sweep = enabled;
         self
     }
 
@@ -365,7 +364,7 @@ impl Scenario {
         cfg.link_stages = self.link_stages;
         cfg.region_size = self.region_size;
         cfg.threads = self.threads;
-        cfg.time_skip = self.time_skip;
+        cfg.full_sweep = self.full_sweep;
         if let TrafficSpec::Synthetic { pattern, .. } = self.traffic {
             let (cols, rows) = self
                 .mesh_dims()
@@ -403,7 +402,7 @@ impl Scenario {
                 cfg.cols = cols;
                 cfg.rows = rows;
                 cfg.threads = self.threads;
-                cfg.time_skip = self.time_skip;
+                cfg.full_sweep = self.full_sweep;
                 Ok(Box::new(packetnoc::PacketNocSim::new(cfg)))
             }
         }
@@ -636,16 +635,16 @@ impl Scenario {
             }))?,
             Err(_) => 1,
         };
-        // Lenient: documents predating the time-skip knob mean on (the
+        // Lenient: documents without the key step activity-driven (the
         // default; results are bit-identical either way).
-        let time_skip = match obj_get(v, "time_skip") {
+        let full_sweep = match obj_get(v, "full_sweep") {
             Ok(Json::Bool(b)) => *b,
             Ok(other) => {
                 return Err(ScenarioError::Parse(format!(
-                    "key `time_skip`: expected a boolean, got `{other}`"
+                    "key `full_sweep`: expected a boolean, got `{other}`"
                 )))
             }
-            Err(_) => true,
+            Err(_) => false,
         };
         Ok(Self {
             engine: parse(crate::spec::EngineSpec::from_json(parse(obj_get(
@@ -668,7 +667,7 @@ impl Scenario {
             budget,
             seed: parse(get_u64(v, "seed"))?,
             threads,
-            time_skip,
+            full_sweep,
         })
     }
 
@@ -736,7 +735,7 @@ impl Scenario {
             ("budget", self.budget.map_or(Json::Null, Json::U64)),
             ("seed", Json::U64(self.seed)),
             ("threads", Json::U64(self.threads as u64)),
-            ("time_skip", Json::Bool(self.time_skip)),
+            ("full_sweep", Json::Bool(self.full_sweep)),
         ])
     }
 }
@@ -866,7 +865,7 @@ mod tests {
             "\"budget\":null",
             "\"seed\":7",
             "\"threads\":1",
-            "\"time_skip\":true",
+            "\"full_sweep\":false",
         ] {
             assert!(json.contains(key), "{key} missing from {json}");
         }

@@ -4,7 +4,7 @@
 //! repetition, thread count and measurement window of one workload point
 //! first burns `warmup` cycles reaching steady state before measuring.
 //! Engine and traffic-source checkpoints (see `simkit::snap`,
-//! [`Engine::snapshot`](crate::engine::Engine::snapshot) and
+//! [`Engine::snapshot`](crate::Engine::snapshot) and
 //! `TrafficSource::snapshot_state`) make that
 //! redundancy removable: [`capture_warm`] runs the warm-up once and
 //! checkpoints engine *and* source; [`run_warm`] forks any number of

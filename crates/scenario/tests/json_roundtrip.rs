@@ -86,6 +86,7 @@ proptest! {
             0u64..u64::MAX,
         ),
         threads in 1usize..9,
+        full_sweep in any::<bool>(),
     ) {
         let (data_width, id_width, max_outstanding, link_stages) = axi;
         let (warmup, window, budget, seed) = stop;
@@ -99,7 +100,8 @@ proptest! {
             .warmup(warmup)
             .window(window)
             .seed(seed)
-            .threads(threads);
+            .threads(threads)
+            .full_sweep(full_sweep);
         s.engine = engine;
         s.budget = budget;
 
@@ -153,6 +155,33 @@ fn documents_without_a_threads_key_mean_serial() {
     }
     let parsed = Scenario::from_json(&json).unwrap();
     assert_eq!(parsed.threads, 1);
+}
+
+#[test]
+fn documents_with_the_retired_time_skip_key_still_parse() {
+    // Scenario files written before time skipping became unconditional
+    // carry `"time_skip": true`; the parser ignores keys it does not know.
+    let mut json = Scenario::patronoc().to_json();
+    if let Json::Obj(pairs) = &mut json {
+        pairs.retain(|(k, _)| k != "full_sweep");
+        pairs.push(("time_skip".to_owned(), Json::Bool(true)));
+    }
+    let parsed = Scenario::from_json(&json).unwrap();
+    assert_eq!(parsed, Scenario::patronoc());
+}
+
+#[test]
+fn a_non_boolean_full_sweep_is_rejected() {
+    let mut json = Scenario::patronoc().to_json();
+    if let Json::Obj(pairs) = &mut json {
+        for (k, v) in pairs.iter_mut() {
+            if k == "full_sweep" {
+                *v = Json::U64(1);
+            }
+        }
+    }
+    let err = Scenario::from_json(&json).unwrap_err();
+    assert!(err.to_string().contains("key `full_sweep`"), "{err}");
 }
 
 #[test]

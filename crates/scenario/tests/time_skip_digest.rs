@@ -1,6 +1,6 @@
 //! Property: event-horizon time skipping walks the *exact* state
-//! trajectory of the cycle-by-cycle reference. Both runs are paused at
-//! arbitrary event boundaries (segment ends) and must agree on
+//! trajectory of the cycle-by-cycle full-sweep reference. Both runs are
+//! paused at arbitrary event boundaries (segment ends) and must agree on
 //! `state_digest` at every one of them — not just at the finish line —
 //! and the skipped engine's mid-run snapshot must restore into a fresh
 //! engine bit-identically (the snapshot codec doubles as the framing for
@@ -69,8 +69,8 @@ proptest! {
         .traffic(traffic)
         .seed(seed)
         .budget(1);
-        let reference = base.clone().time_skip(false);
-        let skipped = base.time_skip(true);
+        let reference = base.clone().full_sweep(true);
+        let skipped = base;
 
         let mut eng_ref = reference.build_engine().unwrap();
         let mut src_ref = reference.build_source();

@@ -5,9 +5,9 @@
 //! no in-flight transactions) the only thing that can wake it is its
 //! traffic source, and every source knows — without touching its random
 //! stream — the earliest cycle at which it can next emit a transfer. A
-//! [`Horizon`] names that cycle, or states that it will never come, and a
-//! [`HorizonTracker`] folds many component horizons into the global
-//! minimum the run loop may jump to.
+//! [`Horizon`] names that cycle, or states that it will never come, and
+//! [`Horizon::min`] folds the engine's and the source's horizons into the
+//! one the run loop (`traffic::drive`) may jump to.
 //!
 //! The contract that makes the jump bit-identical:
 //!
@@ -70,47 +70,6 @@ impl Horizon {
     }
 }
 
-/// Folds component horizons into their global minimum.
-///
-/// Engines report one horizon per component class (source arrivals,
-/// per-region timer wheels, …); the tracker keeps the running min so the
-/// run loop asks a single value: "what is the earliest cycle anyone can
-/// act?". Region-sharded runs feed every region's horizon through one
-/// tracker in the serial pre-phase, so a skip fires only when all regions
-/// agree.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HorizonTracker {
-    min: Horizon,
-}
-
-impl HorizonTracker {
-    /// An empty tracker: with no components reporting, nothing can ever
-    /// happen (`Never`).
-    #[must_use]
-    pub fn new() -> Self {
-        Self {
-            min: Horizon::Never,
-        }
-    }
-
-    /// Folds one component's horizon into the running minimum.
-    pub fn observe(&mut self, h: Horizon) {
-        self.min = self.min.min(h);
-    }
-
-    /// The earliest horizon observed so far.
-    #[must_use]
-    pub fn earliest(&self) -> Horizon {
-        self.min
-    }
-}
-
-impl Default for HorizonTracker {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -142,21 +101,5 @@ mod tests {
         assert!(!Horizon::At(10).is_after(10));
         assert!(!Horizon::At(9).is_after(10));
         assert!(Horizon::Never.is_after(u64::MAX));
-    }
-
-    #[test]
-    fn tracker_folds_to_the_global_minimum() {
-        let mut t = HorizonTracker::new();
-        assert_eq!(t.earliest(), Horizon::Never);
-        t.observe(Horizon::At(40));
-        t.observe(Horizon::Never);
-        t.observe(Horizon::At(12));
-        t.observe(Horizon::At(30));
-        assert_eq!(t.earliest(), Horizon::At(12));
-    }
-
-    #[test]
-    fn default_tracker_matches_new() {
-        assert_eq!(HorizonTracker::default(), HorizonTracker::new());
     }
 }

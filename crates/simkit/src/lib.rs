@@ -25,9 +25,9 @@
 //!   on retirement — no per-cycle heap traffic.
 //! * [`watchdog`] — the [`ProgressWatchdog`] both engines arm around
 //!   their run loops to turn protocol deadlocks into panics.
-//! * [`horizon`] — the [`Horizon`]/[`HorizonTracker`] next-event contract
-//!   behind event-horizon time skipping: quiescent engines jump `now`
-//!   straight to the earliest cycle anything observable can happen.
+//! * [`horizon`] — the [`Horizon`] next-event contract behind
+//!   event-horizon time skipping: quiescent engines jump `now` straight
+//!   to the earliest cycle anything observable can happen.
 //! * [`pool`] — a scoped worker pool: [`pool::scope_map`] fans independent
 //!   simulation points across threads with index-ordered, serial-identical
 //!   results, and [`pool::crew_scope`] keeps a fixed worker crew alive for
@@ -84,12 +84,12 @@ pub mod watchdog;
 
 pub use arbiter::RoundRobinArbiter;
 pub use fifo::{Fifo, PushError, RegisterSlice};
-pub use horizon::{Horizon, HorizonTracker};
+pub use horizon::Horizon;
 pub use json::Json;
 pub use region::{DisjointSlots, RegionMap, RegionSet};
 pub use report::{SimReport, StopReason};
 pub use rng::Rng;
-pub use sched::{ActiveSet, SaturateThresholds};
+pub use sched::ActiveSet;
 pub use slab::{Handle, HandleQueue, Slab, SlabStats};
 pub use stats::{Histogram, RunningStats, ThroughputMeter};
 pub use watchdog::ProgressWatchdog;

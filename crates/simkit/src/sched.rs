@@ -44,57 +44,18 @@ pub const SATURATE_ENTER: (usize, usize) = (2, 3);
 /// activity sets and resumes precise tracking.
 pub const SATURATE_EXIT: (usize, usize) = (1, 2);
 
-/// The two-regime scheduler's regime-change thresholds, liftable into
-/// engine configuration so per-region (or per-workload) tuning is possible
-/// without recompiling. [`SaturateThresholds::default`] reproduces the
-/// hard-coded constants the engines shipped with ([`SATURATE_ENTER`],
-/// [`SATURATE_EXIT`]) bit-for-bit, which the equivalence suite asserts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SaturateThresholds {
-    /// Saturated-regime entry fraction (see [`SATURATE_ENTER`]).
-    pub enter: (usize, usize),
-    /// Saturated-regime exit fraction (see [`SATURATE_EXIT`]); keep it
-    /// well below `enter` or the regimes flap.
-    pub exit: (usize, usize),
-}
-
-impl Default for SaturateThresholds {
-    fn default() -> Self {
-        Self {
-            enter: SATURATE_ENTER,
-            exit: SATURATE_EXIT,
-        }
-    }
-}
-
-impl SaturateThresholds {
-    /// Whether `tracked` work items out of `full` cross the entry
-    /// threshold.
-    #[must_use]
-    pub fn should_saturate(&self, tracked: usize, full: usize) -> bool {
-        tracked * self.enter.1 >= full * self.enter.0
-    }
-
-    /// Whether `estimated` precise-mode work items out of `full` have
-    /// dropped below the exit threshold.
-    #[must_use]
-    pub fn should_desaturate(&self, estimated: usize, full: usize) -> bool {
-        estimated * self.exit.1 < full * self.exit.0
-    }
-}
-
 /// Whether `tracked` work items out of `full` cross the
-/// [`SATURATE_ENTER`] threshold (default-threshold shorthand).
+/// [`SATURATE_ENTER`] threshold.
 #[must_use]
 pub fn should_saturate(tracked: usize, full: usize) -> bool {
-    SaturateThresholds::default().should_saturate(tracked, full)
+    tracked * SATURATE_ENTER.1 >= full * SATURATE_ENTER.0
 }
 
 /// Whether `estimated` precise-mode work items out of `full` have dropped
-/// below the [`SATURATE_EXIT`] threshold (default-threshold shorthand).
+/// below the [`SATURATE_EXIT`] threshold.
 #[must_use]
 pub fn should_desaturate(estimated: usize, full: usize) -> bool {
-    SaturateThresholds::default().should_desaturate(estimated, full)
+    estimated * SATURATE_EXIT.1 < full * SATURATE_EXIT.0
 }
 
 /// A set of component indices with deterministic ascending iteration.
@@ -206,33 +167,24 @@ mod tests {
 
     #[test]
     fn default_thresholds_match_the_constants() {
-        let t = SaturateThresholds::default();
-        assert_eq!(t.enter, SATURATE_ENTER);
-        assert_eq!(t.exit, SATURATE_EXIT);
-        for tracked in 0..100 {
-            for full in 1..100 {
-                assert_eq!(
-                    t.should_saturate(tracked, full),
-                    should_saturate(tracked, full)
-                );
-                assert_eq!(
-                    t.should_desaturate(tracked, full),
-                    should_desaturate(tracked, full)
+        // The regime switch flips exactly at the documented fractions:
+        // enter at 2/3 of the full sweep's work, leave below 1/2.
+        assert_eq!(SATURATE_ENTER, (2, 3));
+        assert_eq!(SATURATE_EXIT, (1, 2));
+        assert!(should_saturate(2, 3) && !should_saturate(1, 3));
+        assert!(should_saturate(67, 100) && !should_saturate(66, 100));
+        assert!(should_desaturate(49, 100) && !should_desaturate(50, 100));
+        // Hysteresis: no work count both enters and leaves the saturated
+        // regime, and the band between the thresholds does neither.
+        for full in 1..100 {
+            for work in 0..=full {
+                assert!(
+                    !(should_saturate(work, full) && should_desaturate(work, full)),
+                    "{work}/{full} flaps"
                 );
             }
         }
-    }
-
-    #[test]
-    fn custom_thresholds_shift_the_regime_change() {
-        let eager = SaturateThresholds {
-            enter: (1, 4),
-            exit: (1, 8),
-        };
-        assert!(eager.should_saturate(25, 100));
-        assert!(!should_saturate(25, 100));
-        assert!(eager.should_desaturate(12, 100));
-        assert!(!eager.should_desaturate(13, 100));
+        assert!(!should_saturate(60, 100) && !should_desaturate(60, 100));
     }
 
     #[test]

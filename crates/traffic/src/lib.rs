@@ -18,6 +18,8 @@
 //!
 //! All generators implement [`TrafficSource`], the interface both NoC
 //! simulators (`patronoc` and the `packetnoc` baseline) pull transfers from.
+//! Beside it sits the other half of that seam: the [`Engine`] trait both
+//! simulators implement, and [`drive`], the one cycle loop they run.
 //!
 //! ```
 //! use traffic::{UniformConfig, UniformRandom, TrafficSource};
@@ -41,11 +43,13 @@
 
 pub(crate) mod chkpt;
 pub mod dnn;
+pub mod engine;
 pub mod source;
 pub mod synthetic;
 pub mod uniform;
 
 pub use dnn::{DnnTraffic, DnnWorkload};
+pub use engine::{drive, Engine};
 pub use source::{TrafficSource, Transfer, TransferKind};
 pub use synthetic::{SyntheticConfig, SyntheticPattern, SyntheticTraffic};
 pub use uniform::{UniformConfig, UniformRandom};

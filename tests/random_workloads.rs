@@ -5,7 +5,7 @@ use axi::AxiParams;
 use patronoc::{NocConfig, NocSim, StopReason, Topology};
 use proptest::prelude::*;
 use simkit::Cycle;
-use traffic::{TrafficSource, Transfer, TransferKind};
+use traffic::{Engine, TrafficSource, Transfer, TransferKind};
 
 /// Replays a prescribed transfer list (already distributed per master).
 struct Scripted {
