@@ -12,13 +12,6 @@
 //! either violation. Emits `BENCH_perf.json` via `--json` so CI tracks
 //! the engine-speed trajectory alongside the simulated results.
 //!
-//! With `BENCH_WARM_START=1`, each (engine, load, mode) point simulates
-//! its warm-up **once**, checkpoints engine and source, and forks the
-//! best-of-N repetitions from the restored state (`bench::perf`'s warm
-//! runners) — best-of-3 pays one warm-up instead of three, and the
-//! artifact records the `warmup_cycles_saved`. Forked runs are
-//! bit-identical to cold runs, so the flag only moves wall clock.
-//!
 //! The active mode also skips time: it jumps `now` across provably idle
 //! gaps, which is where the near-idle point's speedup comes from. Each
 //! point records its `cycles_skipped`, and the binary exits non-zero when
@@ -30,15 +23,11 @@
 
 use bench::defaults::{WARMUP, WINDOW};
 use bench::json::Json;
-use bench::perf::{
-    capture_packet_warm, capture_patronoc_warm, mode_json, run_packet, run_packet_warm,
-    run_patronoc, run_patronoc_warm, telemetry_is_live, Runner, StepMode, WarmCapture, WarmRunner,
-};
-use bench::sweep::{warm_start_enabled, SweepOptions};
+use bench::perf::{mode_json, run_packet, run_patronoc, telemetry_is_live, Runner, StepMode};
+use bench::sweep::SweepOptions;
 
 fn main() {
     let opts = SweepOptions::parse("PERF_QUICK");
-    let warm_start = warm_start_enabled();
     let (window, warmup) = if opts.quick {
         (60_000, 10_000)
     } else {
@@ -49,30 +38,10 @@ fn main() {
     // clock is real transfer work, so the near-pure-idle 1e-5 point is
     // where O(events) time skipping (vs O(cycles) stepping) is measured.
     let loads = [0.000_01, 0.001, 1.0];
-    let engines: [(&str, Runner, WarmCapture, WarmRunner); 2] = [
-        (
-            "patronoc",
-            run_patronoc,
-            capture_patronoc_warm,
-            run_patronoc_warm,
-        ),
-        (
-            "packet-compact",
-            run_packet,
-            capture_packet_warm,
-            run_packet_warm,
-        ),
-    ];
+    let engines: [(&str, Runner); 2] = [("patronoc", run_patronoc), ("packet-compact", run_packet)];
 
     println!("simulator performance: activity-driven vs full-sweep stepping");
-    println!(
-        "window {window} cycles, warmup {warmup} cycles{}",
-        if warm_start {
-            " (warm-start forking)"
-        } else {
-            ""
-        }
-    );
+    println!("window {window} cycles, warmup {warmup} cycles");
     println!(
         "{:>16} {:>8} {:>14} {:>14} {:>9} {:>10} {:>10} {:>12}",
         "engine",
@@ -84,54 +53,31 @@ fn main() {
         "slab high",
         "allocs/kcyc"
     );
-    // Best-of-N wall clock per mode: each repetition is a fresh engine on
+    // Best-of-3 wall clock per mode: each repetition is a fresh engine on
     // the identical workload, so the reports must agree bit for bit and
-    // the fastest run is the least-interfered measurement. Under warm
-    // start the repetitions fork from one checkpoint (skipping the
-    // warm-up each time) and still must agree.
-    let best_of =
-        |runner: Runner, capture: WarmCapture, warm_run: WarmRunner, load: f64, mode: StepMode| {
-            let warm = if warm_start {
-                capture(load, warmup, mode)
-            } else {
-                None
-            };
-            let mut forked: u64 = 0;
-            let mut run_once = || {
-                if let Some(w) = &warm {
-                    if let Some(result) = warm_run(load, window, warmup, mode, w) {
-                        forked += 1;
-                        return result;
-                    }
-                }
-                runner(load, window, warmup, mode)
-            };
-            let mut best = run_once();
-            for _ in 1..3 {
-                let next = run_once();
-                assert_eq!(
-                    next.report, best.report,
-                    "repeated identical runs must agree"
-                );
-                if next.report.cycles_per_sec > best.report.cycles_per_sec {
-                    best = next;
-                }
+    // the fastest run is the least-interfered measurement.
+    let best_of = |runner: Runner, load: f64, mode: StepMode| {
+        let mut best = runner(load, window, warmup, mode);
+        for _ in 1..3 {
+            let next = runner(load, window, warmup, mode);
+            assert_eq!(
+                next.report, best.report,
+                "repeated identical runs must agree"
+            );
+            if next.report.cycles_per_sec > best.report.cycles_per_sec {
+                best = next;
             }
-            // Each fork skipped its warm-up; the capture itself paid one.
-            let saved = (forked * warmup).saturating_sub(warm.map_or(0, |w| w.warmup()));
-            (best, saved)
-        };
+        }
+        best
+    };
     let mut points = Vec::new();
     let mut all_identical = true;
     let mut all_telemetry_live = true;
     let mut skipping_live = true;
-    let mut warmup_saved: u64 = 0;
-    for (name, runner, capture, warm_run) in engines {
+    for (name, runner) in engines {
         for &load in &loads {
-            let (full, full_saved) = best_of(runner, capture, warm_run, load, StepMode::full());
-            let (active, active_saved) =
-                best_of(runner, capture, warm_run, load, StepMode::active());
-            warmup_saved += full_saved + active_saved;
+            let full = best_of(runner, load, StepMode::full());
+            let active = best_of(runner, load, StepMode::active());
             // Dead-feature guard: the near-idle point must actually skip —
             // a zero here means the horizon logic silently stopped firing.
             if load == loads[0] {
@@ -171,18 +117,13 @@ fn main() {
             ]));
         }
     }
-    if warm_start {
-        println!("warm-start forking saved {warmup_saved} warm-up cycles");
-    }
 
     opts.emit_json(&Json::obj(vec![
         ("figure", Json::str("perf")),
-        ("schema_version", Json::U64(4)),
+        ("schema_version", Json::U64(5)),
         ("quick", Json::Bool(opts.quick)),
         ("window", Json::U64(window)),
         ("warmup", Json::U64(warmup)),
-        ("warm_start", Json::Bool(warm_start)),
-        ("warmup_cycles_saved", Json::U64(warmup_saved)),
         ("points", Json::Arr(points)),
     ]));
 

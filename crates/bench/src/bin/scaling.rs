@@ -17,15 +17,9 @@
 //! each timed run must own the machine or the speedup numbers would be
 //! polluted by sweep-level parallelism. `--quick` (or `SCALING_QUICK=1`)
 //! shrinks the window; `--json PATH` writes `BENCH_scaling.json`.
-//!
-//! With `BENCH_WARM_START=1`, each mesh size's warm-up simulates once
-//! (`bench::sweep::WarmCache`): the serial reference stays cold (it owns
-//! the link-occupancy probe), and the sharded thread-curve points fork
-//! from the checkpoint — still asserted bit-identical to serial — with
-//! the net `warmup_cycles_saved` recorded in the artifact.
 
 use bench::json::Json;
-use bench::sweep::{SweepOptions, WarmCache};
+use bench::sweep::SweepOptions;
 use patronoc::Topology;
 use physical::{bisection::bisection_bandwidth_gib_s, AreaModel, BisectionCounting};
 use scenario::{Engine, Scenario, TrafficSpec};
@@ -67,7 +61,6 @@ fn main() {
     let warmup = window / 5;
     let model = AreaModel::calibrated();
     let dims = [8usize, 16, 32];
-    let mut warm = WarmCache::from_env();
 
     let results: Vec<MeshRow> = dims
         .iter()
@@ -91,8 +84,10 @@ fn main() {
                     let report = if threads == 1 {
                         serial.clone()
                     } else {
-                        let report = warm
-                            .run(&scaling_scenario(dim, window, warmup).threads(threads))
+                        let report = sc
+                            .clone()
+                            .threads(threads)
+                            .run()
                             .expect("valid scaling scenario");
                         // Sharding is a wall-clock-only knob: every
                         // simulated observable must match the serial run.
@@ -177,21 +172,13 @@ fn main() {
         "Uniform random copies, DW = 64, MOT = 8, bursts ≤ 4 KiB, load 1.0; \
          simulated results bit-identical at every thread count."
     );
-    if warm.enabled() {
-        println!(
-            "warm-start forking saved {} warm-up cycles",
-            warm.warmup_cycles_saved()
-        );
-    }
 
     opts.emit_json(&Json::obj(vec![
         ("figure", Json::str("scaling")),
-        ("schema_version", Json::U64(2)),
+        ("schema_version", Json::U64(3)),
         ("quick", Json::Bool(opts.quick)),
         ("window", Json::U64(window)),
         ("warmup", Json::U64(warmup)),
-        ("warm_start", Json::Bool(warm.enabled())),
-        ("warmup_cycles_saved", Json::U64(warm.warmup_cycles_saved())),
         (
             "threads",
             Json::Arr(THREAD_COUNTS.iter().map(|&t| Json::U64(t as u64)).collect()),

@@ -7,7 +7,7 @@
 use crate::json::Json;
 use crate::{noxim_uniform_scenario, patronoc_uniform_scenario};
 use scenario::{Engine, PacketProfile};
-use simkit::{SimReport, StopReason};
+use simkit::SimReport;
 
 /// Fixed seed of the perf points (the workload is not the variable here).
 pub const PERF_SEED: u64 = 0xBE2F;
@@ -75,143 +75,6 @@ pub fn run_packet(load: f64, window: u64, warmup: u64, mode: StepMode) -> ModeRe
         report,
         work_items: sim.work_items(),
     }
-}
-
-/// A captured perf warm-up: engine and source checkpoints taken at the
-/// warm-up boundary of one (engine, load, stepping-mode) point, from which
-/// the best-of-N repetitions fork instead of each re-simulating the
-/// warm-up. Captured per stepping mode — snapshots are portable across
-/// modes (the shape excludes `full_sweep`), but the scheduler's
-/// deterministic `work_items` counter is part of the checkpoint, and the
-/// work-ratio comparison needs each mode's warm-up counted under its own
-/// stepping discipline.
-pub struct PerfWarm {
-    warmup: u64,
-    engine: Vec<u8>,
-    source: Vec<u8>,
-}
-
-impl PerfWarm {
-    /// Warm-up cycles the capture simulated — what each fork skips.
-    #[must_use]
-    pub fn warmup(&self) -> u64 {
-        self.warmup
-    }
-}
-
-/// A warm-up capture: `(load, warmup, mode) → checkpoint`.
-pub type WarmCapture = fn(f64, u64, StepMode) -> Option<PerfWarm>;
-
-/// A forking point runner: `(load, window, warmup, mode, warm) →
-/// result`, bit-identical to the cold [`Runner`] of the same point.
-pub type WarmRunner = fn(f64, u64, u64, StepMode, &PerfWarm) -> Option<ModeResult>;
-
-/// Captures the PATRONoC perf point's warm-up. `None` when warm-starting
-/// cannot be exact (no warm-up, an early drain, a source that cannot
-/// checkpoint) — the caller falls back to cold runs.
-#[must_use]
-pub fn capture_patronoc_warm(load: f64, warmup: u64, mode: StepMode) -> Option<PerfWarm> {
-    if warmup == 0 {
-        return None;
-    }
-    let sc = patronoc_uniform_scenario(32, load, 1_000, 0, warmup, PERF_SEED);
-    let mut cfg = sc.noc_config().ok()?;
-    cfg.full_sweep = mode.full_sweep;
-    let mut sim = patronoc::NocSim::new(cfg).ok()?;
-    let mut src = sc.build_source();
-    let report = sim.run(&mut *src, warmup, warmup);
-    if report.stop_reason != StopReason::Budget {
-        return None;
-    }
-    Some(PerfWarm {
-        warmup,
-        engine: sim.snapshot(),
-        source: src.snapshot_state()?,
-    })
-}
-
-/// Runs the PATRONoC perf point forked from a [`capture_patronoc_warm`]
-/// checkpoint of the same (load, warmup, mode). Bit-identical to
-/// [`run_patronoc`] — report *and* deterministic work counter.
-#[must_use]
-pub fn run_patronoc_warm(
-    load: f64,
-    window: u64,
-    warmup: u64,
-    mode: StepMode,
-    warm: &PerfWarm,
-) -> Option<ModeResult> {
-    if warm.warmup != warmup {
-        return None;
-    }
-    let sc = patronoc_uniform_scenario(32, load, 1_000, window, warmup, PERF_SEED);
-    let mut cfg = sc.noc_config().ok()?;
-    cfg.full_sweep = mode.full_sweep;
-    let mut sim = patronoc::NocSim::new(cfg).ok()?;
-    sim.restore(&warm.engine).ok()?;
-    let mut src = sc.build_source();
-    if !src.restore_state(&warm.source) {
-        return None;
-    }
-    // The engine sits at the warm-up boundary: measure immediately, run
-    // the window — the meter arms at the same absolute cycle as cold.
-    let report = sim.run(&mut *src, window, 0);
-    Some(ModeResult {
-        report,
-        work_items: sim.work_items(),
-    })
-}
-
-/// Captures the packet-baseline perf point's warm-up (see
-/// [`capture_patronoc_warm`]).
-#[must_use]
-pub fn capture_packet_warm(load: f64, warmup: u64, mode: StepMode) -> Option<PerfWarm> {
-    if warmup == 0 {
-        return None;
-    }
-    let sc = noxim_uniform_scenario(PacketProfile::Compact, load, 100, 0, warmup, PERF_SEED);
-    let mut cfg = PacketProfile::Compact.base_config();
-    cfg.full_sweep = mode.full_sweep;
-    let mut sim = packetnoc::PacketNocSim::new(cfg);
-    let mut src = sc.build_source();
-    let report = sim.run(&mut *src, warmup, warmup);
-    if report.stop_reason != StopReason::Budget {
-        return None;
-    }
-    Some(PerfWarm {
-        warmup,
-        engine: sim.snapshot(),
-        source: src.snapshot_state()?,
-    })
-}
-
-/// Runs the packet-baseline perf point forked from a
-/// [`capture_packet_warm`] checkpoint — bit-identical to [`run_packet`].
-#[must_use]
-pub fn run_packet_warm(
-    load: f64,
-    window: u64,
-    warmup: u64,
-    mode: StepMode,
-    warm: &PerfWarm,
-) -> Option<ModeResult> {
-    if warm.warmup != warmup {
-        return None;
-    }
-    let sc = noxim_uniform_scenario(PacketProfile::Compact, load, 100, window, warmup, PERF_SEED);
-    let mut cfg = PacketProfile::Compact.base_config();
-    cfg.full_sweep = mode.full_sweep;
-    let mut sim = packetnoc::PacketNocSim::new(cfg);
-    sim.restore(&warm.engine).ok()?;
-    let mut src = sc.build_source();
-    if !src.restore_state(&warm.source) {
-        return None;
-    }
-    let report = sim.run(&mut *src, window, 0);
-    Some(ModeResult {
-        report,
-        work_items: sim.work_items(),
-    })
 }
 
 /// The per-mode object of one `BENCH_perf.json` point — including the

@@ -19,28 +19,11 @@
 //! wall-clock optimization, which `crates/bench/tests/determinism.rs`
 //! locks in.
 
-use scenario::{capture_warm, run_warm, warm_key, Scenario, ScenarioError, WarmPoint};
-use simkit::{pool, SimReport};
+use simkit::pool;
 use std::path::PathBuf;
 
 /// Environment variable overriding the default worker count for all sweeps.
 pub const JOBS_ENV: &str = "BENCH_JOBS";
-
-/// Environment variable enabling warm-start forking (`BENCH_WARM_START=1`):
-/// sweep points that share a warm-up-equivalent scenario prefix simulate
-/// the warm-up once, checkpoint, and fork every repetition / thread count
-/// from the restored state. Like `--jobs` and `--threads`, a wall-clock-only
-/// knob — forked runs are bit-identical to cold runs (pinned by
-/// `crates/bench/tests/snapshot.rs`).
-pub const WARM_START_ENV: &str = "BENCH_WARM_START";
-
-/// Whether warm-start forking is enabled (`BENCH_WARM_START` set and
-/// neither empty nor `0`). Read here, in the bench harness, and nowhere
-/// below it: simulation crates never read the environment.
-#[must_use]
-pub fn warm_start_enabled() -> bool {
-    std::env::var(WARM_START_ENV).is_ok_and(|v| !v.is_empty() && v != "0")
-}
 
 /// Environment variable overriding the default per-simulation region-shard
 /// thread count (`Scenario::threads`) for all sweeps.
@@ -206,92 +189,6 @@ fn splitmix64(seed: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Warm-start fork cache for sequential sweep loops: groups scenarios by
-/// [`scenario::warm_key`] (the warm-up-equivalent prefix — everything but
-/// the stop condition and thread count), simulates each group's warm-up
-/// once, and forks every subsequent run of the group from the checkpoint.
-///
-/// Disabled ([`WarmCache::run`] just calls [`Scenario::run`]) unless
-/// constructed enabled — see [`warm_start_enabled`] / [`WARM_START_ENV`].
-/// Any scenario that cannot warm-start exactly (no warm-up, a source that
-/// drained mid-warm-up, a restore failure) silently falls back to a cold
-/// run, so enabling the cache never changes results — only wall clock.
-///
-/// Keyed storage is a linear `Vec`, not a hash map: sweeps group a handful
-/// of keys, and the bench harness bans hash collections for determinism.
-#[derive(Debug, Default)]
-pub struct WarmCache {
-    enabled: bool,
-    points: Vec<(String, Option<WarmPoint>)>,
-    captured_warmup: u64,
-    forked_warmup: u64,
-}
-
-impl WarmCache {
-    /// A cache that forks when `enabled`, and is a transparent cold-run
-    /// pass-through otherwise.
-    #[must_use]
-    pub fn new(enabled: bool) -> Self {
-        Self {
-            enabled,
-            ..Self::default()
-        }
-    }
-
-    /// A cache wired to [`WARM_START_ENV`].
-    #[must_use]
-    pub fn from_env() -> Self {
-        Self::new(warm_start_enabled())
-    }
-
-    /// Whether forking is enabled.
-    #[must_use]
-    pub fn enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Runs `sc`, forking from the group's checkpoint when possible and
-    /// falling back to a cold [`Scenario::run`] otherwise. The report is
-    /// bit-identical either way.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`ScenarioError`] from the cold path — an invalid
-    /// scenario fails identically with the cache enabled or disabled.
-    pub fn run(&mut self, sc: &Scenario) -> Result<SimReport, ScenarioError> {
-        if !self.enabled {
-            return sc.run();
-        }
-        let key = warm_key(sc);
-        let idx = match self.points.iter().position(|(k, _)| *k == key) {
-            Some(idx) => idx,
-            None => {
-                let point = capture_warm(sc);
-                if let Some(p) = &point {
-                    self.captured_warmup += p.warmup();
-                }
-                self.points.push((key, point));
-                self.points.len() - 1
-            }
-        };
-        if let Some(point) = &self.points[idx].1 {
-            if let Some(report) = run_warm(sc, point) {
-                self.forked_warmup += point.warmup();
-                return Ok(report);
-            }
-        }
-        sc.run()
-    }
-
-    /// Net warm-up cycles the cache avoided simulating: the warm-up of
-    /// every forked run, minus the warm-ups the captures themselves paid.
-    /// Recorded in the `warmup_cycles_saved` field of the JSON artifacts.
-    #[must_use]
-    pub fn warmup_cycles_saved(&self) -> u64 {
-        self.forked_warmup.saturating_sub(self.captured_warmup)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -402,54 +299,5 @@ mod tests {
         let points: Vec<u64> = (0..50).collect();
         let out = run_points(4, &points, |&p| p * 2);
         assert_eq!(out, points.iter().map(|p| p * 2).collect::<Vec<_>>());
-    }
-
-    fn warm_grid_scenario(threads: usize) -> Scenario {
-        use scenario::TrafficSpec;
-        Scenario::patronoc()
-            .traffic(TrafficSpec::uniform_copies(0.5, 500))
-            .warmup(1_000)
-            .window(1_500)
-            .seed(23)
-            .threads(threads)
-    }
-
-    #[test]
-    fn warm_cache_forks_are_bit_identical_to_cold_runs() {
-        let mut cache = WarmCache::new(true);
-        assert!(cache.enabled());
-        // Three runs of one warm group (thread count varies, key does not):
-        // one capture, then forks — each bit-identical to its cold run.
-        for threads in [1, 2, 4] {
-            let sc = warm_grid_scenario(threads);
-            let cold = sc.run().unwrap();
-            let warm = cache.run(&sc).unwrap();
-            assert_eq!(cold, warm, "threads {threads}");
-            assert_eq!(cold.state_digest, warm.state_digest);
-        }
-        // 3 forks paid for by 1 capture: net 2 warm-ups saved.
-        assert_eq!(cache.warmup_cycles_saved(), 2 * 1_000);
-    }
-
-    #[test]
-    fn disabled_warm_cache_is_a_cold_pass_through() {
-        let mut cache = WarmCache::new(false);
-        let sc = warm_grid_scenario(1);
-        assert_eq!(cache.run(&sc).unwrap(), sc.run().unwrap());
-        assert_eq!(cache.warmup_cycles_saved(), 0);
-        assert!(cache.points.is_empty(), "nothing captured while disabled");
-    }
-
-    #[test]
-    fn warm_cache_falls_back_on_uncapturable_scenarios() {
-        // No warm-up: capture_warm declines, the cache runs cold and
-        // remembers the miss (no repeated capture attempts).
-        let mut cache = WarmCache::new(true);
-        let sc = warm_grid_scenario(1).warmup(0);
-        let report = cache.run(&sc).unwrap();
-        assert_eq!(report, sc.run().unwrap());
-        assert_eq!(cache.warmup_cycles_saved(), 0);
-        assert_eq!(cache.points.len(), 1);
-        assert!(cache.points[0].1.is_none());
     }
 }

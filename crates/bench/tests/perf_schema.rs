@@ -5,10 +5,7 @@
 //! (`bench::perf`) on a reduced window.
 
 use bench::json::Json;
-use bench::perf::{
-    capture_packet_warm, capture_patronoc_warm, mode_json, run_packet, run_packet_warm,
-    run_patronoc, run_patronoc_warm, telemetry_is_live, StepMode,
-};
+use bench::perf::{mode_json, run_packet, run_patronoc, telemetry_is_live, StepMode};
 
 /// Looks up a key in a JSON object.
 fn field<'a>(json: &'a Json, key: &str) -> &'a Json {
@@ -57,62 +54,6 @@ fn perf_mode_json_carries_live_allocation_telemetry() {
             Json::U64(_) => {}
             other => panic!("{name}: cycles_skipped has wrong type: {other:?}"),
         }
-    }
-}
-
-#[test]
-fn warm_forked_points_emit_the_same_schema_and_telemetry() {
-    // A warm-started perf point (BENCH_WARM_START=1 in CI) must produce
-    // the same JSON shape, live telemetry, and — because the fork is
-    // bit-identical to the cold run — the same slab counters and work
-    // items the cold artifact carries.
-    type Cell = (
-        &'static str,
-        bench::perf::Runner,
-        bench::perf::WarmCapture,
-        bench::perf::WarmRunner,
-    );
-    let cells: [Cell; 2] = [
-        (
-            "patronoc",
-            run_patronoc,
-            capture_patronoc_warm,
-            run_patronoc_warm,
-        ),
-        ("packet", run_packet, capture_packet_warm, run_packet_warm),
-    ];
-    for (name, runner, capture, warm_run) in cells {
-        let cold = runner(0.3, 5_000, 1_000, StepMode::active());
-        let warm = capture(0.3, 1_000, StepMode::active()).expect("perf points checkpoint");
-        assert_eq!(warm.warmup(), 1_000);
-        let forked =
-            warm_run(0.3, 5_000, 1_000, StepMode::active(), &warm).expect("warm fork runs");
-        assert_eq!(cold.report, forked.report, "{name}: forked report diverged");
-        assert_eq!(cold.work_items, forked.work_items, "{name}");
-        assert!(telemetry_is_live(&forked), "{name}: forked telemetry dead");
-        let json = mode_json(&forked);
-        for key in [
-            "gib_s",
-            "cycles_per_sec",
-            "work_items",
-            "slab_high_water",
-            "allocs_per_kilocycle",
-            "cycles_skipped",
-        ] {
-            let _ = field(&json, key);
-        }
-        // The slab telemetry is outside `SimReport::eq` (it covers
-        // simulated results only), so pin it by name: a fork restores the
-        // arena statistics the warm-up accumulated.
-        assert_eq!(
-            cold.report.slab_high_water, forked.report.slab_high_water,
-            "{name}: slab high water diverged"
-        );
-        assert_eq!(
-            cold.report.allocs_per_kilocycle.to_bits(),
-            forked.report.allocs_per_kilocycle.to_bits(),
-            "{name}: allocation rate diverged"
-        );
     }
 }
 

@@ -2,22 +2,17 @@
 //! run must be **bit-identical** to running straight through, for both
 //! engines, every traffic class, every operating point, both stepping
 //! modes and across thread counts — a snapshot is a complete capture of
-//! deterministic simulation state, and warm-start forking (see
-//! `scenario::warm` and `bench::sweep::WarmCache`) is therefore a
-//! wall-clock-only optimization.
+//! the simulated state, and holds nothing about how that state was
+//! stepped.
 //!
 //! The second half pins the safety contract: snapshots are self-
 //! validating (`simkit::snap`), so a corrupt, truncated, oversized or
 //! wrong-engine byte string is rejected **before any engine state is
 //! constructed**, leaving the running engine untouched byte for byte.
 
-use bench::perf::{
-    capture_packet_warm, capture_patronoc_warm, run_packet, run_packet_warm, run_patronoc,
-    run_patronoc_warm, Runner, StepMode, WarmCapture, WarmRunner,
-};
-use scenario::{capture_warm, run_warm, Engine, PacketProfile, Scenario, TrafficSpec};
+use scenario::{Engine, PacketProfile, Scenario, TrafficSpec};
 use simkit::snap::{DecodeLimits, Decoder, SnapError};
-use simkit::SimReport;
+use simkit::{SimReport, StopReason};
 use traffic::{DnnWorkload, SyntheticPattern};
 
 const WINDOW: u64 = 4_000;
@@ -26,20 +21,20 @@ const WARMUP: u64 = 1_500;
 /// Idle / mid / saturated operating points.
 const LOADS: [f64; 3] = [0.001, 0.3, 1.0];
 
-fn assert_bit_identical(cold: &SimReport, forked: &SimReport, what: &str) {
-    assert_eq!(cold, forked, "{what}: report diverged");
+fn assert_bit_identical(straight: &SimReport, resumed: &SimReport, what: &str) {
+    assert_eq!(straight, resumed, "{what}: report diverged");
     assert_eq!(
-        cold.state_digest, forked.state_digest,
+        straight.state_digest, resumed.state_digest,
         "{what}: state digest diverged"
     );
     assert_eq!(
-        cold.throughput_gib_s.to_bits(),
-        forked.throughput_gib_s.to_bits(),
+        straight.throughput_gib_s.to_bits(),
+        resumed.throughput_gib_s.to_bits(),
         "{what}: throughput bits diverged"
     );
     assert_eq!(
-        cold.mean_latency.to_bits(),
-        forked.mean_latency.to_bits(),
+        straight.mean_latency.to_bits(),
+        resumed.mean_latency.to_bits(),
         "{what}: mean latency bits diverged"
     );
 }
@@ -96,47 +91,126 @@ fn matrix() -> Vec<(String, Scenario)> {
     cells
 }
 
+/// Runs `sc`'s warm-up on a freshly built pair and checkpoints the engine
+/// and the source at its boundary.
+fn checkpoint(sc: &Scenario, what: &str) -> (Vec<u8>, Vec<u8>) {
+    let mut engine = sc.build_engine().expect("valid scenario");
+    let mut source = sc.build_source();
+    let warm = engine.run(&mut *source, sc.warmup, sc.warmup);
+    assert_eq!(
+        warm.stop_reason,
+        StopReason::Budget,
+        "{what}: warm-up drained"
+    );
+    let source_bytes = source.snapshot_state().expect("the source checkpoints");
+    (engine.snapshot(), source_bytes)
+}
+
+/// Restores an engine and a source checkpoint, both taken at `sc`'s
+/// warm-up boundary, into a freshly built pair and runs the rest of the
+/// scenario, normalizing the stop reason as [`Scenario::run`] does.
+fn resume(sc: &Scenario, engine_bytes: &[u8], source_bytes: &[u8]) -> SimReport {
+    let mut engine = sc.build_engine().expect("valid scenario");
+    engine
+        .restore(engine_bytes)
+        .expect("engine checkpoint restores");
+    let mut source = sc.build_source();
+    assert!(
+        source.restore_state(source_bytes),
+        "source checkpoint restores"
+    );
+    let end = sc.budget.unwrap_or(sc.warmup + sc.window);
+    // The engine sits at the warm-up boundary, so its meter arms right
+    // away: at the same absolute cycle as the straight run's.
+    let mut report = engine.run(&mut *source, end - sc.warmup, 0);
+    if sc.budget.is_none() && report.stop_reason == StopReason::Budget {
+        report.stop_reason = StopReason::WindowComplete;
+    }
+    report
+}
+
 #[test]
-fn warm_forks_match_cold_runs_across_the_traffic_matrix() {
+fn checkpoints_continue_bit_identically_across_the_traffic_matrix() {
     for (what, sc) in matrix() {
-        let cold = sc.run().expect("valid scenario");
-        let warm = capture_warm(&sc).expect("every matrix source checkpoints");
-        // Thread count is outside the warm key: the same capture serves
-        // the serial fork and a region-sharded one.
-        for threads in [1usize, 2] {
-            let variant = sc.clone().threads(threads);
-            let forked = run_warm(&variant, &warm).expect("warm fork runs");
-            assert_bit_identical(&cold, &forked, &format!("{what} @ {threads} threads"));
+        let straight = sc.run().expect("valid scenario");
+        let (engine_bytes, source_bytes) = checkpoint(&sc, &what);
+        // The stepping knobs are outside the snapshot, so one checkpoint
+        // resumes under every stepping mode and thread count.
+        for full_sweep in [false, true] {
+            for threads in [1usize, 2] {
+                let variant = sc.clone().full_sweep(full_sweep).threads(threads);
+                let resumed = resume(&variant, &engine_bytes, &source_bytes);
+                let how = if full_sweep { "full sweep" } else { "active" };
+                assert_bit_identical(
+                    &straight,
+                    &resumed,
+                    &format!("{what}, {how} @ {threads} threads"),
+                );
+            }
         }
     }
 }
 
 #[test]
-fn warm_forks_match_cold_runs_in_both_stepping_modes() {
-    // The stepping strategy (activity-driven with event-horizon time
-    // skipping, or the full sweep) evolves bit-identical state and is
-    // excluded from the snapshot shape, so a per-mode checkpoint
-    // forks runs whose report *and* deterministic scheduler work counter
-    // match the cold run exactly.
-    let engines: [(&str, Runner, WarmCapture, WarmRunner); 2] = [
-        (
-            "patronoc",
-            run_patronoc,
-            capture_patronoc_warm,
-            run_patronoc_warm,
-        ),
-        ("packet", run_packet, capture_packet_warm, run_packet_warm),
+fn one_checkpoint_serves_many_windows_and_thread_counts() {
+    // The window, the budget and the thread count decide only when and
+    // how the run goes on past the warm-up, so one checkpoint resumes
+    // each variant to its own straight run.
+    let sc = Scenario::patronoc()
+        .traffic(TrafficSpec::uniform_copies(0.6, 500))
+        .warmup(1_000)
+        .window(2_000)
+        .seed(17);
+    let (engine_bytes, source_bytes) = checkpoint(&sc, "patronoc uniform");
+    let variants = [
+        sc.clone().window(500),
+        sc.clone().threads(2),
+        sc.clone().window(6_000).threads(4),
+        sc.clone().budget(2_500),
     ];
-    for (name, runner, capture, warm_run) in engines {
-        for &load in &[0.001, 1.0] {
-            for mode in [StepMode::active(), StepMode::full()] {
-                let cold = runner(load, WINDOW, WARMUP, mode);
-                let warm = capture(load, WARMUP, mode).expect("perf points checkpoint");
-                let forked = warm_run(load, WINDOW, WARMUP, mode, &warm).expect("warm fork runs");
-                let what = format!("{name} load {load} mode {mode:?}");
-                assert_bit_identical(&cold.report, &forked.report, &what);
-                assert_eq!(cold.work_items, forked.work_items, "{what}: work diverged");
-            }
+    for variant in variants {
+        let what = format!(
+            "window {} budget {:?} @ {} threads",
+            variant.window, variant.budget, variant.threads
+        );
+        let straight = variant.run().expect("valid scenario");
+        let resumed = resume(&variant, &engine_bytes, &source_bytes);
+        assert_bit_identical(&straight, &resumed, &what);
+    }
+}
+
+#[test]
+fn a_snapshot_does_not_depend_on_how_the_state_was_stepped() {
+    // Active, full-sweep and region-sharded stepping evolve the same
+    // simulated state, and a snapshot holds only that state: the three
+    // byte strings taken at the same cycle are identical.
+    for (name, base) in [
+        ("patronoc", Scenario::patronoc()),
+        ("packet", Scenario::packet(PacketProfile::Compact)),
+    ] {
+        for load in [0.3, 1.0] {
+            let sc = base
+                .clone()
+                .traffic(TrafficSpec::uniform(load, 1_000))
+                .seed(43);
+            let snapshot_after = |variant: Scenario| {
+                let mut engine = variant.build_engine().expect("valid scenario");
+                let mut source = variant.build_source();
+                engine.run(&mut *source, WARMUP + WINDOW, WARMUP);
+                engine.snapshot()
+            };
+            let active = snapshot_after(sc.clone());
+            let what = format!("{name} load {load}");
+            assert_eq!(
+                active,
+                snapshot_after(sc.clone().full_sweep(true)),
+                "{what}: active vs full"
+            );
+            assert_eq!(
+                active,
+                snapshot_after(sc.clone().threads(2)),
+                "{what}: serial vs 2 threads"
+            );
         }
     }
 }

@@ -9,15 +9,9 @@
 //! against the serial (`threads = 1`) run of the same scenario. On the
 //! 4×4 mesh the 8-thread request clamps to the 4 row bands, so the clamp
 //! path is exercised too.
-//!
-//! With `BENCH_WARM_START=1` (CI runs the suite both ways) every cell is
-//! additionally reproduced by **warm-start forking**: the scenario's
-//! warm-up is simulated once, checkpointed, and each thread count forks
-//! from the restored state — the fork must match the serial run bit for
-//! bit too, including the canonical `state_digest`.
 
 use bench::defaults;
-use scenario::{capture_warm, run_warm, PacketProfile, Scenario, TrafficSpec};
+use scenario::{PacketProfile, Scenario, TrafficSpec};
 use simkit::SimReport;
 use traffic::{DnnWorkload, SyntheticPattern};
 
@@ -51,9 +45,7 @@ fn assert_bit_identical(serial: &SimReport, sharded: &SimReport, what: &str) {
 }
 
 /// Runs `scenario` serially, then at every matrix thread count, asserting
-/// bit identity cell by cell. Under `BENCH_WARM_START=1` each thread count
-/// is also forked from a single warm-up checkpoint and compared against
-/// the same serial reference.
+/// bit identity cell by cell.
 fn assert_thread_invariant(scenario: &Scenario, what: &str) {
     let patronoc::Topology::Mesh { rows, .. } = scenario.topology else {
         panic!("{what}: the matrix runs on meshes");
@@ -63,11 +55,6 @@ fn assert_thread_invariant(scenario: &Scenario, what: &str) {
         .threads(1)
         .run()
         .expect("valid serial scenario");
-    let warm = if bench::sweep::warm_start_enabled() {
-        capture_warm(scenario)
-    } else {
-        None
-    };
     for threads in THREADS {
         let sharded = scenario
             .clone()
@@ -81,15 +68,6 @@ fn assert_thread_invariant(scenario: &Scenario, what: &str) {
             "{what}: threads not recorded"
         );
         assert_bit_identical(&serial, &sharded, &format!("{what} @ {threads} threads"));
-        if let Some(point) = &warm {
-            let forked = run_warm(&scenario.clone().threads(threads), point)
-                .expect("warm fork of a capturable scenario runs");
-            assert_bit_identical(
-                &serial,
-                &forked,
-                &format!("{what} warm fork @ {threads} threads"),
-            );
-        }
     }
 }
 

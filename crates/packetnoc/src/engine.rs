@@ -80,8 +80,8 @@ pub struct PacketNocSim {
     /// Wall-clock seconds spent inside timed [`run`](Engine::run) loops.
     wall_secs: f64,
     /// Cycles crossed by event-horizon time skipping ([`Engine::skip_to`])
-    /// instead of stepping. Cumulative telemetry like `wall_cycles`:
-    /// excluded from snapshots and never reset on restore.
+    /// instead of stepping. Telemetry like `wall_cycles`: excluded from
+    /// snapshots, so it restarts at zero on restore.
     cycles_skipped: u64,
 }
 
@@ -206,7 +206,7 @@ impl PacketNocSim {
 
     /// Cumulative scheduler work: buffer refreshes plus NI/router steps,
     /// counted identically in active and full-sweep mode (deterministic,
-    /// unlike wall clock).
+    /// unlike wall clock). Restarts at zero on restore.
     #[must_use]
     pub fn work_items(&self) -> u64 {
         self.work_items
@@ -616,11 +616,8 @@ impl Engine for PacketNocSim {
 
     /// Covers simulation time plus every buffer, router, NI and in-flight
     /// record, and the delivery counters and latency histogram they feed.
-    /// Excluded on purpose — the meter (its warm-up split differs between
-    /// a straight run and a warm-started fork measuring the same window),
-    /// the scheduler and slab telemetry (both differ between serial and
-    /// sharded stepping while the simulated hardware state does not), and
-    /// the stop reason.
+    /// Excluded on purpose: the meter, which measures a run rather than
+    /// holding hardware state, and the stop reason.
     fn state_digest(&self) -> u64 {
         let mut e = Encoder::new(Self::SNAP_KIND, self.shape());
         self.encode_state(&mut e, false);
@@ -704,15 +701,17 @@ impl Engine for PacketNocSim {
     }
 }
 
-/// Checkpointing: compact binary snapshots of the complete deterministic
-/// simulation state (see `simkit::snap` for the container format). A
-/// snapshot captures everything the cycle loop evolves — flit buffers,
-/// wormhole locks, arbiter cursors, NI queues, arena-resident transfer
-/// records, counters, meter, scheduler — and **excludes** wall-clock
-/// telemetry (`wall_cycles`, `wall_secs`), which restarts at zero on
-/// restore. `snapshot` → `restore` → `run` is bit-identical to running
-/// straight through, which is what lets `bench::sweep` fork many
-/// measurement runs off one warm-up.
+/// Checkpointing: compact binary snapshots of the simulated state (see
+/// `simkit::snap` for the container format). A snapshot holds everything
+/// the simulated hardware evolves — flit buffers, wormhole locks, arbiter
+/// cursors, NI queues, arena-resident transfer records, delivery
+/// counters — plus what a resumed run reports: the stop reason and the
+/// meter. It holds nothing about how the state was stepped: a restored
+/// engine keeps the scheduler it was built with, and its simulator
+/// telemetry restarts: wall clock, `cycles_skipped` and `work_items`
+/// from zero, the slab counters from the restore's re-allocation of the
+/// live records. `snapshot` → `restore` → `run` is bit-identical to
+/// running straight through, under any stepping mode and thread count.
 ///
 /// Slab handles are never serialized raw: slot indices are allocation
 /// accidents (they differ across thread counts and across a restore), so
@@ -784,10 +783,9 @@ impl PacketNocSim {
         (map, order)
     }
 
-    /// Writes the engine state into `e`. `full` includes the run-control
-    /// state a restore needs (stop reason, meter, scheduler, slab
-    /// telemetry); the digest path omits it (see
-    /// [`state_digest`](Self::state_digest)).
+    /// Writes the engine state into `e`. `full` adds what a resumed run
+    /// reports (the stop reason and the meter); the digest path omits it
+    /// (see [`state_digest`](Self::state_digest)).
     fn encode_state(&self, e: &mut Encoder, full: bool) {
         let (canon, order) = self.canonical_txs();
         let canon_of =
@@ -845,24 +843,6 @@ impl PacketNocSim {
             e.u64(self.transfers_completed);
             self.latency.encode(e);
         });
-        if full {
-            e.section(8, |e| {
-                e.bool(self.saturated);
-                e.u64(self.work_items);
-                for set in [&self.hot_bufs, &self.hot_nis, &self.hot_routers] {
-                    let idx = set.indices();
-                    e.usize(idx.len());
-                    for i in idx {
-                        e.usize(i);
-                    }
-                }
-            });
-            e.section(9, |e| {
-                let s = self.allocation_stats();
-                e.u64(s.allocs);
-                e.u64(s.high_water);
-            });
-        }
     }
 
     /// Decodes `bytes` into this (freshly built) engine. Every index and
@@ -982,36 +962,12 @@ impl PacketNocSim {
         self.transfers_completed = d.u64()?;
         self.latency = Histogram::decode(&mut d)?;
         d.end_section(end)?;
-        let end = d.begin_section(8)?;
-        self.saturated = d.bool()?;
-        self.work_items = d.u64()?;
-        // The fresh engine's scheduler holds everything (the cycle-0 full
-        // sweep); replace that wholesale with the captured membership.
-        for set in [&mut self.hot_bufs, &mut self.hot_nis, &mut self.hot_routers] {
-            set.clear();
-            let n = d.count("active-set members")?;
-            for _ in 0..n {
-                let i = d.usize()?;
-                if i >= set.capacity() {
-                    return Err(corrupt("active-set index out of range"));
-                }
-                set.insert(i);
-            }
-        }
-        d.end_section(end)?;
-        let end = d.begin_section(9)?;
-        let (allocs, high_water) = (d.u64()?, d.u64()?);
-        d.end_section(end)?;
         d.finish()?;
-        // Telemetry continuation: restoring re-allocated every live record,
-        // so credit the arena family with the snapshot's history minus
-        // what rebuilding already counted (saturating: a snapshot from a
-        // differently-sharded engine may fragment differently).
-        let s = self.allocation_stats();
-        self.txs[0].absorb_stats(
-            allocs.saturating_sub(s.allocs),
-            high_water.saturating_sub(s.high_water),
-        );
+        // The fresh engine keeps the scheduler it was built with. Its sets
+        // hold every index, a superset of the live set, so the first
+        // restored cycle steps everything — and stepping quiescent
+        // hardware is a no-op. The regime switch then settles exactly as
+        // it does after cycle 0.
         Ok(())
     }
 }
@@ -1529,6 +1485,86 @@ mod tests {
         assert!(target.restore(&bytes).is_err());
         assert_eq!(target.state_digest(), digest);
         assert_eq!(target.now(), 1_000);
+    }
+
+    #[test]
+    fn a_snapshot_with_a_trailing_section_is_refused() {
+        // Checkpoints that still carry the scheduler and telemetry
+        // sections have them after the last state section. Re-framed with
+        // a valid digest trailer, such bytes are refused whole.
+        let mut sim = PacketNocSim::new(PacketNocConfig::noxim_high_performance());
+        sim.run(&mut poisson(17), 2_000, 0);
+        let bytes = sim.snapshot();
+        let mut old = bytes[..bytes.len() - 8].to_vec();
+        old.extend_from_slice(&[8, 1, 0, 0, 0, 0]);
+        old.extend_from_slice(&simkit::snap::fnv1a64(&old).to_le_bytes());
+        let digest = sim.state_digest();
+        assert_eq!(sim.restore(&old), Err(SnapError::TrailingBytes));
+        assert_eq!(sim.state_digest(), digest);
+        assert_eq!(sim.snapshot(), bytes);
+    }
+
+    #[test]
+    fn a_used_engine_restores_like_a_fresh_one() {
+        // The scheduler is outside the snapshot, so a restore must not keep
+        // the one its target evolved: an engine left nearly idle, with
+        // sparse live sets, takes a saturated checkpoint.
+        let mut sim = PacketNocSim::new(PacketNocConfig::noxim_high_performance());
+        let mut src = uniform(1.0);
+        sim.run(&mut src, 3_000, 0);
+        let bytes = sim.snapshot();
+        let mut resumed_src = src.clone();
+        let straight = sim.run(&mut src, 2_000, 0);
+
+        let mut used = PacketNocSim::new(PacketNocConfig::noxim_high_performance());
+        used.run(&mut uniform(0.02), 20_000, 0);
+        used.restore(&bytes).expect("snapshot restores");
+        assert_eq!(used.run(&mut resumed_src, 2_000, 0), straight);
+        assert_eq!(used.state_digest(), sim.state_digest());
+    }
+
+    #[test]
+    fn a_restored_engine_reports_what_the_original_did() {
+        // Beyond the hardware, a checkpoint keeps the stop reason and the
+        // meter: a drained run with a warm-up reports the same from its
+        // restored copy.
+        let mut sim = PacketNocSim::new(PacketNocConfig::noxim_high_performance());
+        let report = sim.run(&mut OneEach::new(16, 100), 1_000_000, 100);
+        assert_eq!(report.stop_reason, StopReason::Drained);
+        let mut restored = PacketNocSim::new(PacketNocConfig::noxim_high_performance());
+        restored
+            .restore(&sim.snapshot())
+            .expect("snapshot restores");
+        assert_eq!(restored.snapshot_report(), report);
+    }
+
+    #[test]
+    fn a_restored_engine_counts_telemetry_from_zero() {
+        // A snapshot holds no simulator telemetry. The low load leaves idle
+        // gaps to skip; the capture waits for records in flight.
+        let mut sim = PacketNocSim::new(PacketNocConfig::noxim_high_performance());
+        let mut src = uniform(0.02);
+        let before = sim.run(&mut src, 20_000, 0);
+        assert!(before.cycles_skipped > 0 && sim.work_items() > 0);
+        while sim.allocation_stats().live == 0 {
+            sim.step(&mut src);
+        }
+        let live = sim.allocation_stats().live;
+
+        let mut restored = PacketNocSim::new(PacketNocConfig::noxim_high_performance());
+        restored
+            .restore(&sim.snapshot())
+            .expect("snapshot restores");
+        let after = restored.snapshot_report();
+        assert_eq!(restored.work_items(), 0);
+        assert_eq!(after.cycles_skipped, 0);
+        assert_eq!(after.cycles_per_sec, 0.0);
+        // The slab counters see only the restore's re-allocations.
+        let slab = restored.allocation_stats();
+        assert_eq!(
+            (slab.allocs, slab.high_water, slab.live),
+            (live, live, live)
+        );
     }
 
     #[test]

@@ -174,8 +174,8 @@ pub struct NocSim {
     /// Wall-clock seconds spent inside timed [`run`](Engine::run) loops.
     wall_secs: f64,
     /// Cycles crossed by event-horizon time skipping ([`Engine::skip_to`])
-    /// instead of stepping. Cumulative telemetry like `wall_cycles`:
-    /// excluded from snapshots and never reset on restore.
+    /// instead of stepping. Telemetry like `wall_cycles`: excluded from
+    /// snapshots, so it restarts at zero on restore.
     cycles_skipped: u64,
 }
 
@@ -717,7 +717,7 @@ impl NocSim {
     /// Cumulative scheduler work: links refreshed plus components stepped,
     /// counted identically in active and full-sweep mode. Deterministic
     /// (unlike wall clock), which is what the equivalence tests assert the
-    /// activity saving on.
+    /// activity saving on. Restarts at zero on restore.
     #[must_use]
     pub fn work_items(&self) -> u64 {
         self.sched.work_items
@@ -870,11 +870,8 @@ impl Engine for NocSim {
     }
 
     /// Covers simulation time plus every link, XP and endpoint. Excluded
-    /// on purpose — the meter (its warm-up split differs between a
-    /// straight run and a warm-started fork measuring the same window),
-    /// the scheduler and slab telemetry (both differ between serial and
-    /// sharded stepping while the simulated hardware state does not), and
-    /// the stop reason.
+    /// on purpose: the meter, which measures a run rather than holding
+    /// hardware state, and the stop reason.
     fn state_digest(&self) -> u64 {
         let mut e = Encoder::new(Self::SNAP_KIND, self.shape());
         self.encode_state(&mut e, false);
@@ -957,14 +954,17 @@ impl Engine for NocSim {
     }
 }
 
-/// Checkpointing: compact binary snapshots of the complete deterministic
-/// simulation state (see `simkit::snap` for the container format). A
-/// snapshot captures everything the cycle loop evolves — link FIFOs, XP
-/// arbitration, endpoint queues, arena-resident transfer records, meter,
-/// scheduler — and **excludes** wall-clock telemetry (`wall_cycles`,
-/// `wall_secs`), which restarts at zero on restore. `snapshot` → `restore`
-/// → `run` is bit-identical to running straight through, which is what
-/// lets `bench::sweep` fork many measurement runs off one warm-up.
+/// Checkpointing: compact binary snapshots of the simulated state (see
+/// `simkit::snap` for the container format). A snapshot holds everything
+/// the simulated hardware evolves — link FIFOs, XP arbitration, endpoint
+/// queues, arena-resident transfer records — plus what a resumed run
+/// reports: the stop reason and the meter. It holds nothing about how
+/// the state was stepped: a restored engine keeps the scheduler it was
+/// built with, and its simulator telemetry restarts: wall clock,
+/// `cycles_skipped` and `work_items` from zero, the slab counters from
+/// the restore's re-allocation of the live records.
+/// `snapshot` → `restore` → `run` is bit-identical to running straight
+/// through, under any stepping mode and thread count.
 impl NocSim {
     /// This engine's discriminant in the snapshot header.
     pub const SNAP_KIND: u8 = 1;
@@ -1026,10 +1026,9 @@ impl NocSim {
         e.digest()
     }
 
-    /// Writes the engine state into `e`. `full` includes the run-control
-    /// state a restore needs (stop reason, meter, scheduler, slab
-    /// telemetry); the digest path omits it (see
-    /// [`state_digest`](Self::state_digest)).
+    /// Writes the engine state into `e`. `full` adds what a resumed run
+    /// reports (the stop reason and the meter); the digest path omits it
+    /// (see [`state_digest`](Self::state_digest)).
     fn encode_state(&self, e: &mut Encoder, full: bool) {
         e.section(1, |e| {
             e.u64(self.now);
@@ -1065,41 +1064,6 @@ impl NocSim {
                 m.encode_state(e);
             }
         });
-        if full {
-            e.section(7, |e| {
-                e.bool(self.sched.saturated);
-                e.u64(self.sched.work_items);
-                for set in [
-                    &self.sched.hot_links,
-                    &self.sched.dmas,
-                    &self.sched.mems,
-                    &self.sched.xps,
-                ] {
-                    let idx = set.indices();
-                    e.usize(idx.len());
-                    for i in idx {
-                        e.usize(i);
-                    }
-                }
-            });
-            e.section(8, |e| {
-                let fold = |acc: SlabStats, s: SlabStats| acc.merge(s);
-                let t = self
-                    .txns
-                    .iter()
-                    .map(Slab::stats)
-                    .fold(SlabStats::default(), fold);
-                let w = self
-                    .wstreams
-                    .iter()
-                    .map(Slab::stats)
-                    .fold(SlabStats::default(), fold);
-                e.u64(t.allocs);
-                e.u64(t.high_water);
-                e.u64(w.allocs);
-                e.u64(w.high_water);
-            });
-        }
     }
 
     /// Decodes `bytes` into this (freshly built) engine. Every index and
@@ -1152,59 +1116,12 @@ impl NocSim {
             m.restore_state(&mut d)?;
         }
         d.end_section(end)?;
-        let end = d.begin_section(7)?;
-        self.sched.saturated = d.bool()?;
-        self.sched.work_items = d.u64()?;
-        // The fresh engine's scheduler holds everything (the cycle-0 full
-        // sweep); replace that wholesale with the captured membership.
-        {
-            let sets = [
-                &mut self.sched.hot_links,
-                &mut self.sched.dmas,
-                &mut self.sched.mems,
-                &mut self.sched.xps,
-            ];
-            for set in sets {
-                set.clear();
-                let n = d.count("active-set members")?;
-                for _ in 0..n {
-                    let i = d.usize()?;
-                    if i >= set.capacity() {
-                        return Err(corrupt("active-set index out of range"));
-                    }
-                    set.insert(i);
-                }
-            }
-        }
-        d.end_section(end)?;
-        let end = d.begin_section(8)?;
-        let (t_allocs, t_hw) = (d.u64()?, d.u64()?);
-        let (w_allocs, w_hw) = (d.u64()?, d.u64()?);
-        d.end_section(end)?;
         d.finish()?;
-        // Telemetry continuation: restoring re-allocated every live record,
-        // so credit each arena family with the snapshot's history minus
-        // what rebuilding already counted (saturating: a snapshot from a
-        // differently-sharded engine may fragment differently).
-        let fold = |acc: SlabStats, s: SlabStats| acc.merge(s);
-        let t = self
-            .txns
-            .iter()
-            .map(Slab::stats)
-            .fold(SlabStats::default(), fold);
-        let w = self
-            .wstreams
-            .iter()
-            .map(Slab::stats)
-            .fold(SlabStats::default(), fold);
-        self.txns[0].absorb_stats(
-            t_allocs.saturating_sub(t.allocs),
-            t_hw.saturating_sub(t.high_water),
-        );
-        self.wstreams[0].absorb_stats(
-            w_allocs.saturating_sub(w.allocs),
-            w_hw.saturating_sub(w.high_water),
-        );
+        // The fresh engine keeps the scheduler it was built with. Its sets
+        // hold every index, a superset of the live set, so the first
+        // restored cycle steps everything — and stepping quiescent
+        // hardware is a no-op. The regime switch then settles exactly as
+        // it does after cycle 0.
         Ok(())
     }
 }
@@ -1862,6 +1779,86 @@ mod tests {
             "failed restore mutated state"
         );
         assert_eq!(target.now(), 1_000);
+    }
+
+    #[test]
+    fn a_snapshot_with_a_trailing_section_is_refused() {
+        // Checkpoints that still carry the scheduler and telemetry
+        // sections have them after the memories' section. Re-framed with
+        // a valid digest trailer, such bytes are refused whole.
+        let mut sim = NocSim::new(NocConfig::slim_4x4()).unwrap();
+        sim.run(&mut poisson(17), 2_000, 0);
+        let bytes = sim.snapshot();
+        let mut old = bytes[..bytes.len() - 8].to_vec();
+        old.extend_from_slice(&[7, 1, 0, 0, 0, 0]);
+        old.extend_from_slice(&simkit::snap::fnv1a64(&old).to_le_bytes());
+        let digest = sim.state_digest();
+        assert_eq!(
+            sim.restore(&old),
+            Err(simkit::snap::SnapError::TrailingBytes)
+        );
+        assert_eq!(sim.state_digest(), digest);
+        assert_eq!(sim.snapshot(), bytes);
+    }
+
+    #[test]
+    fn a_used_engine_restores_like_a_fresh_one() {
+        // The scheduler is outside the snapshot, so a restore must not keep
+        // the one its target evolved: an engine left nearly idle, with
+        // sparse live sets, takes a saturated checkpoint.
+        let mut sim = NocSim::new(NocConfig::slim_4x4()).unwrap();
+        let mut src = uniform(1.0);
+        sim.run(&mut src, 3_000, 0);
+        let bytes = sim.snapshot();
+        let mut resumed_src = src.clone();
+        let straight = sim.run(&mut src, 2_000, 0);
+
+        let mut used = NocSim::new(NocConfig::slim_4x4()).unwrap();
+        used.run(&mut uniform(0.02), 20_000, 0);
+        used.restore(&bytes).unwrap();
+        assert_eq!(used.run(&mut resumed_src, 2_000, 0), straight);
+        assert_eq!(used.state_digest(), sim.state_digest());
+    }
+
+    #[test]
+    fn a_restored_engine_reports_what_the_original_did() {
+        // Beyond the hardware, a checkpoint keeps the stop reason and the
+        // meter: a drained run with a warm-up reports the same from its
+        // restored copy.
+        let mut sim = NocSim::new(NocConfig::slim_4x4()).unwrap();
+        let mut src = OneEach::new(16, 1024, TransferKind::Write, |m| (m + 5) % 16);
+        let report = sim.run(&mut src, 1_000_000, 100);
+        assert_eq!(report.stop_reason, StopReason::Drained);
+        let mut restored = NocSim::new(NocConfig::slim_4x4()).unwrap();
+        restored.restore(&sim.snapshot()).unwrap();
+        assert_eq!(restored.snapshot_report(), report);
+    }
+
+    #[test]
+    fn a_restored_engine_counts_telemetry_from_zero() {
+        // A snapshot holds no simulator telemetry. The low load leaves idle
+        // gaps to skip; the capture waits for records in flight.
+        let mut sim = NocSim::new(NocConfig::slim_4x4()).unwrap();
+        let mut src = uniform(0.02);
+        let before = sim.run(&mut src, 20_000, 0);
+        assert!(before.cycles_skipped > 0 && sim.work_items() > 0);
+        while sim.allocation_stats().live == 0 {
+            sim.step(&mut src);
+        }
+        let live = sim.allocation_stats().live;
+
+        let mut restored = NocSim::new(NocConfig::slim_4x4()).unwrap();
+        restored.restore(&sim.snapshot()).unwrap();
+        let after = restored.snapshot_report();
+        assert_eq!(restored.work_items(), 0);
+        assert_eq!(after.cycles_skipped, 0);
+        assert_eq!(after.cycles_per_sec, 0.0);
+        // The slab counters see only the restore's re-allocations.
+        let slab = restored.allocation_stats();
+        assert_eq!(
+            (slab.allocs, slab.high_water, slab.live),
+            (live, live, live)
+        );
     }
 
     #[test]

@@ -6,8 +6,9 @@ use patronoc::{Connectivity, NocConfig, NocSim, RoutingAlgorithm, Topology};
 use simkit::{Json, SimReport, StopReason};
 use std::fmt;
 use traffic::{
-    dnn::DnnConfig, DnnTraffic, Engine, SyntheticConfig, SyntheticTraffic, TrafficSource,
-    UniformConfig, UniformRandom,
+    dnn::{DnnConfig, RESNET34_LAYERS},
+    DnnTraffic, DnnWorkload, Engine, SyntheticConfig, SyntheticPattern, SyntheticTraffic,
+    TrafficSource, UniformConfig, UniformRandom,
 };
 
 /// Why a scenario could not be instantiated or run.
@@ -27,6 +28,10 @@ pub enum ScenarioError {
     /// [`Scenario::from_json`] could not understand the document: invalid
     /// JSON, a missing key, a wrong type or an unknown label.
     Parse(String),
+    /// A well-formed scenario asks for something its engine or workload
+    /// cannot model: zero load, a DNN trace of zero steps, a mesh too
+    /// small for the engine or the traffic pattern, zero threads.
+    Invalid(String),
 }
 
 impl fmt::Display for ScenarioError {
@@ -50,6 +55,7 @@ impl fmt::Display for ScenarioError {
             }
             Self::WrongEngine(what) => write!(f, "this probe needs {what}"),
             Self::Parse(why) => write!(f, "cannot parse scenario: {why}"),
+            Self::Invalid(why) => write!(f, "invalid scenario: {why}"),
         }
     }
 }
@@ -366,12 +372,74 @@ impl Scenario {
         cfg.threads = self.threads;
         cfg.full_sweep = self.full_sweep;
         if let TrafficSpec::Synthetic { pattern, .. } = self.traffic {
-            let (cols, rows) = self
-                .mesh_dims()
-                .ok_or(ScenarioError::SyntheticNeedsMesh(self.topology))?;
+            let (cols, rows) = self.synthetic_mesh(pattern)?;
             cfg.slaves = pattern.slave_nodes(cols, rows);
         }
         Ok(cfg)
+    }
+
+    /// The mesh a synthetic `pattern` is placed on, checked against what
+    /// [`SyntheticPattern::slave_nodes`] asserts.
+    fn synthetic_mesh(&self, pattern: SyntheticPattern) -> Result<(usize, usize), ScenarioError> {
+        let (cols, rows) = self
+            .mesh_dims()
+            .ok_or(ScenarioError::SyntheticNeedsMesh(self.topology))?;
+        if cols < 3 || rows < 3 {
+            return Err(ScenarioError::Invalid(format!(
+                "synthetic patterns need at least a 3x3 mesh, got {cols}x{rows}"
+            )));
+        }
+        if pattern == SyntheticPattern::Transpose && cols != rows {
+            return Err(ScenarioError::Invalid(format!(
+                "the transpose pattern needs a square mesh, got {cols}x{rows}"
+            )));
+        }
+        Ok((cols, rows))
+    }
+
+    /// Rejects, with plain comparisons on the fields, every traffic spec
+    /// the source builders would panic on. The builders keep their
+    /// asserts: there they guard programming errors.
+    fn check_traffic(&self) -> Result<(), ScenarioError> {
+        let invalid = |why: String| Err(ScenarioError::Invalid(why));
+        match self.traffic {
+            TrafficSpec::Uniform {
+                load, max_transfer, ..
+            } => {
+                check_rate(load, max_transfer)?;
+                if max_transfer > self.region_size {
+                    return invalid(format!(
+                        "max_transfer {max_transfer} exceeds the {}-byte region",
+                        self.region_size
+                    ));
+                }
+                Ok(())
+            }
+            TrafficSpec::Synthetic {
+                pattern,
+                load,
+                max_transfer,
+                ..
+            } => {
+                check_rate(load, max_transfer)?;
+                self.synthetic_mesh(pattern).map(|_| ())
+            }
+            TrafficSpec::Dnn { workload, steps } => {
+                let cores = self.num_nodes();
+                if steps == 0 {
+                    invalid("a DNN trace needs at least one step".to_owned())
+                } else if cores < 2 {
+                    invalid(format!("a DNN trace needs at least two cores, got {cores}"))
+                } else if workload == DnnWorkload::PipelinedConv && cores > RESNET34_LAYERS {
+                    invalid(format!(
+                        "the DNN pipeline needs a ResNet-34 layer per core: at most \
+                         {RESNET34_LAYERS} cores, got {cores}"
+                    ))
+                } else {
+                    Ok(())
+                }
+            }
+        }
     }
 
     /// Builds the concrete PATRONoC simulator — for probes the [`Engine`]
@@ -385,19 +453,31 @@ impl Scenario {
     }
 
     /// Builds the engine this scenario names, behind the [`Engine`] trait.
+    /// It also checks the traffic spec, so once it succeeds
+    /// [`build_source`](Self::build_source) cannot panic.
     ///
     /// # Errors
     ///
     /// [`ScenarioError::Config`] for invalid parameters;
     /// [`ScenarioError::PacketNeedsMesh`] for a packet scenario on a
-    /// non-mesh topology.
+    /// non-mesh topology; [`ScenarioError::SyntheticNeedsMesh`] for a
+    /// synthetic pattern off a mesh; [`ScenarioError::Invalid`] for a
+    /// spec the engine or the traffic source cannot model.
     pub fn build_engine(&self) -> Result<Box<dyn Engine>, ScenarioError> {
+        self.check_traffic()?;
         match self.engine {
             EngineSpec::Patronoc => Ok(Box::new(self.build_noc_sim()?)),
             EngineSpec::Packet(profile) => {
                 let (cols, rows) = self
                     .mesh_dims()
                     .ok_or(ScenarioError::PacketNeedsMesh(self.topology))?;
+                if cols < 2 || rows == 0 || self.threads == 0 {
+                    return Err(ScenarioError::Invalid(format!(
+                        "the packet baseline needs at least a 2x1 mesh and one thread, \
+                         got {cols}x{rows} and {} threads",
+                        self.threads
+                    )));
+                }
                 let mut cfg = profile.base_config();
                 cfg.cols = cols;
                 cfg.rows = rows;
@@ -414,7 +494,9 @@ impl Scenario {
     ///
     /// Panics when the traffic spec is degenerate (the generators
     /// themselves assert: zero load, zero-size transfers, a synthetic
-    /// pattern on a too-small mesh).
+    /// pattern on a too-small mesh). [`build_engine`](Self::build_engine)
+    /// returns a [`ScenarioError`] for every such spec instead, so build
+    /// the engine first.
     #[must_use]
     pub fn build_source(&self) -> Box<dyn TrafficSource> {
         let n = self.num_nodes();
@@ -519,9 +601,8 @@ impl Scenario {
     /// [`window`](Self::window) nor [`budget`](Self::budget) was set, plus
     /// the [`build_engine`](Self::build_engine) errors.
     pub fn run(&self) -> Result<SimReport, ScenarioError> {
-        // Build the engine first: configuration problems surface as
-        // ScenarioErrors before the source builders get to panic on a
-        // spec the engine would have rejected anyway.
+        // Build the engine first: it rejects, as a ScenarioError, every
+        // spec the source builders would panic on.
         let mut engine = self.build_engine()?;
         let mut source = self.build_source();
         self.execute(&mut *engine, &mut *source)
@@ -738,6 +819,17 @@ impl Scenario {
             ("full_sweep", Json::Bool(self.full_sweep)),
         ])
     }
+}
+
+/// The stochastic sources' shared preconditions: a positive load and a
+/// non-zero transfer size.
+fn check_rate(load: f64, max_transfer: u64) -> Result<(), ScenarioError> {
+    if load.is_nan() || load <= 0.0 || max_transfer == 0 {
+        return Err(ScenarioError::Invalid(format!(
+            "traffic needs a positive load and max_transfer, got {load} and {max_transfer}"
+        )));
+    }
+    Ok(())
 }
 
 #[cfg(test)]

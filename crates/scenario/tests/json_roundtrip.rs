@@ -2,10 +2,13 @@
 //! `from_json(to_json(s)) == s` for arbitrary scenarios, and the
 //! serialized text is a fixpoint of `to_json → parse → to_json` (the
 //! contract a trace-replay service needs to echo back exactly what it
-//! received).
+//! received). Untrusted documents never panic: one that parses but asks
+//! for something the engines cannot model is a `ScenarioError`, and so
+//! is every truncated or single-byte-mutated document that is not still
+//! a valid scenario.
 
 use proptest::prelude::*;
-use scenario::{EngineSpec, PacketProfile, Scenario, TrafficSpec};
+use scenario::{EngineSpec, PacketProfile, Scenario, ScenarioError, TrafficSpec};
 use simkit::Json;
 
 fn engine_strategy() -> impl Strategy<Value = EngineSpec> {
@@ -200,4 +203,165 @@ fn a_deserialized_scenario_runs_identically() {
     let b = parsed.run().unwrap();
     assert_eq!(a, b);
     assert_eq!(a.throughput_gib_s.to_bits(), b.throughput_gib_s.to_bits());
+}
+
+/// One document per way a well-formed scenario can ask for something
+/// its engine or traffic source cannot model.
+fn unmodellable_scenarios() -> Vec<(&'static str, Scenario)> {
+    use patronoc::Topology;
+    use traffic::{DnnWorkload, SyntheticPattern};
+    let mesh = |cols, rows| Topology::Mesh { cols, rows };
+    let synthetic = |pattern, load| TrafficSpec::Synthetic {
+        pattern,
+        load,
+        max_transfer: 1_000,
+        read_fraction: 0.5,
+    };
+    let windowed = Scenario::patronoc().window(1_000);
+    let packet = Scenario::packet(PacketProfile::Compact).window(1_000);
+    let dnn = |workload, steps| {
+        Scenario::patronoc()
+            .traffic(TrafficSpec::dnn(workload, steps))
+            .budget(1_000)
+    };
+    vec![
+        (
+            "uniform load 0",
+            windowed.clone().traffic(TrafficSpec::uniform(0.0, 1_000)),
+        ),
+        (
+            "uniform transfers of 0 bytes",
+            windowed.clone().traffic(TrafficSpec::uniform(0.5, 0)),
+        ),
+        (
+            "uniform transfers larger than a region",
+            windowed
+                .clone()
+                .region_size(512)
+                .traffic(TrafficSpec::uniform(0.5, 1_000)),
+        ),
+        (
+            "synthetic load 0",
+            windowed
+                .clone()
+                .traffic(synthetic(SyntheticPattern::AllGlobal, 0.0)),
+        ),
+        (
+            "synthetic pattern on a 2x3 mesh",
+            windowed
+                .clone()
+                .topology(mesh(2, 3))
+                .traffic(synthetic(SyntheticPattern::AllGlobal, 1.0)),
+        ),
+        (
+            "synthetic pattern on a 3x2 packet mesh",
+            packet
+                .clone()
+                .topology(mesh(3, 2))
+                .traffic(synthetic(SyntheticPattern::MaxTwoHop, 1.0)),
+        ),
+        (
+            "transpose on a 3x4 mesh",
+            windowed
+                .clone()
+                .topology(mesh(3, 4))
+                .traffic(synthetic(SyntheticPattern::Transpose, 1.0)),
+        ),
+        ("DNN trace of 0 steps", dnn(DnnWorkload::ParallelConv, 0)),
+        (
+            "DNN trace on one core",
+            dnn(DnnWorkload::ParallelConv, 1).topology(mesh(1, 1)),
+        ),
+        (
+            "DNN pipeline on a 4x9 mesh",
+            dnn(DnnWorkload::PipelinedConv, 1).topology(mesh(4, 9)),
+        ),
+        (
+            "DNN pipeline on a 9x4 mesh",
+            dnn(DnnWorkload::PipelinedConv, 1).topology(mesh(9, 4)),
+        ),
+        (
+            "packet mesh of 1 column",
+            packet.clone().topology(mesh(1, 4)),
+        ),
+        ("packet mesh of 0 rows", packet.clone().topology(mesh(4, 0))),
+        ("packet run on 0 threads", packet.threads(0)),
+    ]
+}
+
+#[test]
+fn documents_the_engines_cannot_model_are_errors_not_panics() {
+    for (what, sc) in unmodellable_scenarios() {
+        let text = sc.to_json().to_json();
+        let parsed = Scenario::from_json_str(&text).expect("a well-formed document parses");
+        let err = parsed.run().expect_err(what);
+        assert!(
+            matches!(err, ScenarioError::Invalid(_)),
+            "{what}: wrong error {err:?}"
+        );
+    }
+}
+
+#[test]
+fn every_mutated_document_fails_to_parse_is_refused_or_builds() {
+    use patronoc::Topology;
+    use traffic::{DnnWorkload, SyntheticPattern};
+    // Small meshes and single-digit fields, so that a one-digit change
+    // reaches each refused class: a mesh below 2x1 or 3x3, a non-square
+    // transpose, a zero load, zero steps, zero threads, more pipeline
+    // cores than layers. The optional keys are left out where they reach
+    // no class: a mutant of an ignored key only repeats the original.
+    let docs = [
+        (
+            Scenario::patronoc()
+                .topology(Topology::Mesh { cols: 3, rows: 3 })
+                .traffic(TrafficSpec::synthetic(SyntheticPattern::Transpose, 100)),
+            &["threads", "full_sweep"][..],
+        ),
+        (
+            Scenario::packet(PacketProfile::Compact)
+                .topology(Topology::Mesh { cols: 2, rows: 2 })
+                .traffic(TrafficSpec::uniform(0.5, 100)),
+            &["full_sweep"][..],
+        ),
+        (
+            Scenario::patronoc().traffic(TrafficSpec::dnn(DnnWorkload::PipelinedConv, 1)),
+            &["threads", "full_sweep"][..],
+        ),
+    ]
+    .map(|(sc, optional)| {
+        let mut json = sc.window(5).seed(7).to_json();
+        if let Json::Obj(pairs) = &mut json {
+            pairs.retain(|(k, _)| !optional.contains(&k.as_str()));
+        }
+        json.to_json()
+    });
+    let check = |bytes: &[u8]| {
+        // A byte string that is not UTF-8 is not a document.
+        let Ok(text) = std::str::from_utf8(bytes) else {
+            return;
+        };
+        let outcome = std::panic::catch_unwind(|| {
+            if let Ok(sc) = Scenario::from_json_str(text) {
+                if sc.build_engine().is_ok() {
+                    let _ = sc.build_source();
+                }
+            }
+        });
+        assert!(outcome.is_ok(), "mutant panicked: {text}");
+    };
+    for doc in &docs {
+        let bytes = doc.as_bytes();
+        for n in 0..bytes.len() {
+            check(&bytes[..n]);
+        }
+        let mut mutant = bytes.to_vec();
+        for i in 0..bytes.len() {
+            for b in 0..=u8::MAX {
+                mutant[i] = b;
+                check(&mutant);
+            }
+            mutant[i] = bytes[i];
+        }
+    }
 }

@@ -41,9 +41,9 @@
 //! * [`json`] — a minimal hand-rolled JSON writer for machine-readable
 //!   results and scenario serialization (no crates.io access, no serde).
 //! * [`snap`] — the versioned binary snapshot codec behind
-//!   `Engine::snapshot`/`restore` checkpointing and warm-start sweep
-//!   forking: shortest-form varints, length-prefixed sections, an FNV-1a
-//!   digest trailer verified before any parsing, and [`snap::DecodeLimits`]
+//!   `Engine::snapshot`/`restore` checkpointing of the simulated state:
+//!   shortest-form varints, length-prefixed sections, an FNV-1a digest
+//!   trailer verified before any parsing, and [`snap::DecodeLimits`]
 //!   bounds on untrusted bytes.
 //!
 //! ## Two-phase discipline

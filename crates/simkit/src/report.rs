@@ -35,6 +35,12 @@ pub enum StopReason {
 /// [`allocs_per_kilocycle`](Self::allocs_per_kilocycle)), which describe
 /// the *simulator*, not the simulated NoC, and are deliberately excluded
 /// from equality.
+///
+/// Engine snapshots carry no simulator telemetry, so every telemetry
+/// field restarts when an engine is restored from one: the wall-clock
+/// rate and [`cycles_skipped`](Self::cycles_skipped) count from zero,
+/// and the slab figures from the restore's re-allocation of the live
+/// records.
 #[derive(Debug, Clone)]
 pub struct SimReport {
     /// Cycles simulated.
@@ -60,8 +66,8 @@ pub struct SimReport {
     /// Why the run stopped.
     pub stop_reason: StopReason,
     /// FNV-1a digest of the engine's complete deterministic state at the
-    /// moment the report was taken (canonical snapshot encoding minus
-    /// wall-clock/meter/scheduler telemetry — see `simkit::snap`). Cheap
+    /// moment the report was taken (canonical snapshot encoding minus the
+    /// meter and the stop reason — see `simkit::snap`). Cheap
     /// cross-mode divergence telemetry: serial vs region-sharded, active
     /// vs full-sweep, and straight vs snapshot-restored runs must agree
     /// on it, so unlike the wall-clock fields it **is** part of
@@ -69,7 +75,8 @@ pub struct SimReport {
     /// instead of whichever aggregate statistic happens to differ.
     pub state_digest: u64,
     /// Simulated cycles per wall-clock second, averaged over every
-    /// [`run`](crate) loop this engine executed so far — the simulator's
+    /// [`run`](crate) loop this engine executed since it was built or
+    /// restored — the simulator's
     /// own speed, not a property of the simulated NoC. `0.0` when the
     /// engine was only stepped manually (no timed `run` loop). Excluded
     /// from `PartialEq`: wall clock is not deterministic.

@@ -118,23 +118,6 @@ impl ActiveSet {
         }
     }
 
-    /// The capacity the set was built with (component index space).
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.words.len() * 64
-    }
-
-    /// The members in ascending index order, without draining — the
-    /// canonical view snapshot encoders serialize. Rebuilding a set by
-    /// inserting these indices into a fresh `ActiveSet` reproduces
-    /// identical membership and drain order.
-    #[must_use]
-    pub fn indices(&self) -> Vec<usize> {
-        let mut out = self.dirty.clone();
-        out.sort_unstable();
-        out
-    }
-
     /// Empties the set.
     pub fn clear(&mut self) {
         for &i in &self.dirty {

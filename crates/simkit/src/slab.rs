@@ -315,17 +315,6 @@ impl<T> Slab<T> {
         })
     }
 
-    /// Folds the allocation telemetry of a predecessor arena into this
-    /// one: snapshot restore re-allocates the live records (which counts
-    /// them afresh), then adds the predecessor's surplus `allocs` and
-    /// `high_water` here so post-restore telemetry continues the original
-    /// run's counters instead of restarting from the restored population.
-    /// Addition matches [`SlabStats::merge`] semantics.
-    pub fn absorb_stats(&mut self, allocs: u64, high_water: u64) {
-        self.allocs += allocs;
-        self.high_water += usize::try_from(high_water).expect("high_water fits usize");
-    }
-
     /// Rebuilds a handle for the entry at `idx`, which must be live (queue
     /// internals: links store bare indices; liveness is an invariant of
     /// queue membership).
@@ -619,21 +608,6 @@ mod tests {
         assert_eq!(q.len(), 4, "iteration must not drain");
         assert_eq!(q.pop_front(&mut s), Some(hs[0]));
         assert_eq!(q.iter(&s).collect::<Vec<_>>(), hs[1..]);
-    }
-
-    #[test]
-    fn absorb_stats_continues_predecessor_telemetry() {
-        let mut s: Slab<u8> = Slab::new();
-        let _ = s.alloc(1); // as if restored: live=1, allocs=1, hw=1
-        s.absorb_stats(9, 3);
-        assert_eq!(
-            s.stats(),
-            SlabStats {
-                live: 1,
-                high_water: 4,
-                allocs: 10
-            }
-        );
     }
 
     #[test]

@@ -2,10 +2,11 @@
 //!
 //! The slab refactor (see [`crate::slab`]) made every engine's in-flight
 //! state contiguous and index-addressed; this module is the wire format
-//! that serializes it. Snapshots enable **warm-start forking**: simulate a
-//! sweep group's shared warmup once, snapshot, and fork every repetition /
-//! thread-count variant from the restored state (`bench`), plus
-//! crash-resumable runs and divergence bisection (ROADMAP).
+//! that serializes it. A snapshot holds the simulated state only — never
+//! the scheduler or simulator telemetry — so it resumes a run
+//! bit-identically under any stepping mode or thread count.
+//! `SimReport::state_digest` hashes the same encoding without the meter
+//! and the stop reason.
 //!
 //! # Format
 //!

@@ -64,6 +64,10 @@ impl ConvLayer {
     }
 }
 
+/// The weight layers of ResNet-34: the most cores a
+/// [`PipelinedConv`](DnnWorkload::PipelinedConv) trace can spread over.
+pub const RESNET34_LAYERS: usize = 34;
+
 /// Builds the 34 weight layers of ResNet-34 with channels scaled by
 /// `channel_scale` (the paper's "90 % channel shrink factor" corresponds to
 /// `channel_scale = 0.1`).
@@ -78,7 +82,7 @@ pub fn resnet34_layers(channel_scale: f64) -> Vec<ConvLayer> {
         "channel scale must be in (0, 1]"
     );
     let ch = |c: u64| ((c as f64 * channel_scale).round() as u64).max(1);
-    let mut layers = Vec::with_capacity(34);
+    let mut layers = Vec::with_capacity(RESNET34_LAYERS);
     // Stem: 7×7, 64, /2 on 224×224 RGB.
     layers.push(ConvLayer {
         in_ch: 3,
@@ -129,7 +133,7 @@ pub fn resnet34_layers(channel_scale: f64) -> Vec<ConvLayer> {
         k: 1,
         stride: 1,
     });
-    debug_assert_eq!(layers.len(), 34);
+    debug_assert_eq!(layers.len(), RESNET34_LAYERS);
     layers
 }
 

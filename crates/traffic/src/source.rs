@@ -92,10 +92,9 @@ pub trait TrafficSource {
 
     /// Serializes the source's complete deterministic state (RNG streams,
     /// arrival clocks, dependency progress) as a self-validating byte
-    /// string, or `None` when the source does not support checkpointing —
-    /// warm-start forking then falls back to a cold run. Restoring the
-    /// bytes into an identically configured source and continuing to poll
-    /// reproduces this source's future output exactly.
+    /// string, or `None` when the source does not support checkpointing.
+    /// Restoring the bytes into an identically configured source and
+    /// continuing to poll reproduces this source's future output exactly.
     fn snapshot_state(&self) -> Option<Vec<u8>> {
         None
     }
