@@ -8,7 +8,9 @@
 //!   activity-mode `cycles_per_sec`.
 //! * `BENCH_scaling.json` (`figure = "scaling"`): the serial run of any
 //!   mesh size must not lose more than its **per-size** threshold (small
-//!   meshes gate looser — their quick windows measure noisier).
+//!   meshes gate looser — their quick windows measure noisier). Each
+//!   mesh's 2-thread sharding speedup is printed beside the baseline's,
+//!   as a report only.
 //! * `BENCH_fig4.json` (`figure = "fig4"`): every `(curve, load)`
 //!   throughput cell must match the baseline to within a fixed epsilon —
 //!   simulated results are deterministic, so the threshold flag does not
@@ -144,14 +146,22 @@ fn diff_scaling(opts: &Options, baseline: &Json, current: &Json) -> usize {
     }
 
     println!(
-        "serial-run simulator speed per mesh vs {} (base threshold {:.1}%, scaled per size)",
+        "serial-run simulator speed per mesh vs {} (base threshold {:.1}%, scaled per size; \
+         2-thread speedups reported, not gated)",
         opts.baseline.display(),
         100.0 * opts.threshold
     );
     println!(
-        "{:>8} {:>16} {:>16} {:>9} {:>11}",
-        "mesh", "baseline cyc/s", "current cyc/s", "change", "threshold"
+        "{:>8} {:>16} {:>16} {:>9} {:>11} {:>13} {:>13}",
+        "mesh",
+        "baseline cyc/s",
+        "current cyc/s",
+        "change",
+        "threshold",
+        "baseline 2thr",
+        "current 2thr"
     );
+    let speedup = |s: Option<f64>| s.map_or_else(|| "-".to_string(), |s| format!("{s:.2}x"));
     let mut regressions: Vec<&ScalingComparison> = Vec::new();
     for c in &comparisons {
         let flag = if c.regressed(opts.threshold) {
@@ -161,12 +171,14 @@ fn diff_scaling(opts: &Options, baseline: &Json, current: &Json) -> usize {
             ""
         };
         println!(
-            "{:>8} {:>16.0} {:>16.0} {:>+8.1}% {:>10.1}%{flag}",
+            "{:>8} {:>16.0} {:>16.0} {:>+8.1}% {:>10.1}% {:>13} {:>13}{flag}",
             c.mesh,
             c.baseline_cps,
             c.current_cps,
             100.0 * c.change(),
-            100.0 * c.threshold(opts.threshold)
+            100.0 * c.threshold(opts.threshold),
+            speedup(c.baseline_speedup_2t),
+            speedup(c.current_speedup_2t)
         );
     }
     regressions.len()

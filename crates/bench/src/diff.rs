@@ -10,7 +10,9 @@
 //!   both files, the **serial** (`threads = 1`) `cycles_per_sec` must not
 //!   regress by more than a per-size threshold — small meshes finish a
 //!   quick window in little wall time and measure noisier, so their gate
-//!   is proportionally looser (see [`ScalingComparison::threshold`]).
+//!   is proportionally looser (see [`ScalingComparison::threshold`]). Each
+//!   mesh's 2-thread sharding speedup is reported beside the gate, not
+//!   gated.
 //! * `"fig4"` (`BENCH_fig4.json`): the **simulated** throughput of every
 //!   `(curve, load)` cell present in both files must match the baseline
 //!   to within [`FIG4_EPSILON`] — unlike wall clock, the trajectories are
@@ -169,7 +171,8 @@ pub fn compare_saturated(baseline: &[PerfPoint], current: &[PerfPoint]) -> Vec<C
 }
 
 /// One mesh row extracted from a `BENCH_scaling.json` document: the
-/// serial (`threads = 1`) simulator speed of one mesh size.
+/// serial (`threads = 1`) simulator speed of one mesh size, and its
+/// 2-thread sharding speedup.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScalingPoint {
     /// Mesh label (`"8x8"`).
@@ -178,6 +181,9 @@ pub struct ScalingPoint {
     pub dim: u64,
     /// Serial `cycles_per_sec` of the mesh's speedup curve.
     pub serial_cps: f64,
+    /// The curve's `threads = 2` speedup over the serial run, if the sweep
+    /// ran 2 threads.
+    pub speedup_2t: Option<f64>,
 }
 
 /// One per-mesh comparison between baseline and current scaling sweeps.
@@ -191,6 +197,10 @@ pub struct ScalingComparison {
     pub baseline_cps: f64,
     /// Current serial `cycles_per_sec`.
     pub current_cps: f64,
+    /// Baseline 2-thread speedup (reported, not gated).
+    pub baseline_speedup_2t: Option<f64>,
+    /// Current 2-thread speedup (reported, not gated).
+    pub current_speedup_2t: Option<f64>,
 }
 
 impl ScalingComparison {
@@ -252,13 +262,17 @@ pub fn parse_scaling_points(doc: &Json) -> Result<Vec<ScalingPoint>, String> {
             let Json::Arr(curve) = get(m, "speedup_curve")? else {
                 return Err(format!("mesh `{mesh}`: `speedup_curve` is not an array"));
             };
-            let serial = curve
-                .iter()
-                .find(|p| matches!(get(p, "threads"), Ok(Json::U64(1))))
-                .ok_or_else(|| format!("mesh `{mesh}` has no serial (threads = 1) point"))?;
+            let at = |threads: u64| {
+                curve
+                    .iter()
+                    .find(|p| matches!(get(p, "threads"), Ok(Json::U64(t)) if *t == threads))
+            };
+            let serial =
+                at(1).ok_or_else(|| format!("mesh `{mesh}` has no serial (threads = 1) point"))?;
             Ok(ScalingPoint {
                 dim,
                 serial_cps: get_f64(serial, "cycles_per_sec")?,
+                speedup_2t: at(2).map(|p| get_f64(p, "speedup")).transpose()?,
                 mesh,
             })
         })
@@ -281,6 +295,8 @@ pub fn compare_scaling(
                 dim: b.dim,
                 baseline_cps: b.serial_cps,
                 current_cps: c.serial_cps,
+                baseline_speedup_2t: b.speedup_2t,
+                current_speedup_2t: c.speedup_2t,
             })
         })
         .collect()
@@ -495,6 +511,7 @@ mod tests {
         assert_eq!(pts[0].dim, 8);
         assert_eq!(pts[0].serial_cps, 4e6);
         assert_eq!(pts[1].dim, 32);
+        assert_eq!(pts[1].speedup_2t, Some(1.7));
     }
 
     #[test]
@@ -504,7 +521,20 @@ mod tests {
                 .unwrap_err()
                 .contains("perf")
         );
-        // A curve without its threads = 1 anchor is malformed.
+        // A curve without its threads = 1 anchor is malformed; one
+        // without a 2-thread point merely has no speedup to report.
+        let serial_only = Json::obj(vec![
+            ("mesh", Json::str("8x8")),
+            (
+                "speedup_curve",
+                Json::Arr(vec![Json::obj(vec![
+                    ("threads", Json::U64(1)),
+                    ("cycles_per_sec", Json::F64(1e6)),
+                ])]),
+            ),
+        ]);
+        let pts = parse_scaling_points(&scaling_doc(vec![serial_only])).unwrap();
+        assert_eq!(pts[0].speedup_2t, None);
         let no_serial = Json::obj(vec![
             ("mesh", Json::str("8x8")),
             (
@@ -545,6 +575,9 @@ mod tests {
         assert!(!cmp[0].regressed(0.05), "8x8 inside its loosened gate");
         assert!(!cmp[1].regressed(0.05), "16x16 inside its loosened gate");
         assert!(cmp[2].regressed(0.05), "32x32 over the base gate");
+        // The 2-thread speedups ride along for the report.
+        assert_eq!(cmp[2].baseline_speedup_2t, Some(1.7));
+        assert_eq!(cmp[2].current_speedup_2t, Some(1.7));
         // Meshes missing from the current sweep are skipped, not fatal.
         let cmp = compare_scaling(&base, &cur[..1]);
         assert_eq!(cmp.len(), 1);

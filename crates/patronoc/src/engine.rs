@@ -20,10 +20,15 @@
 //! stepping everything ([`NocConfig::full_sweep`] keeps that reference
 //! path; `crates/bench/tests/equivalence.rs` cross-checks the two). At low
 //! injected loads this removes >90 % of the per-cycle work.
+//!
+//! Inside a stepped crosspoint the same idea works per AXI channel: every
+//! link refresh reports its channel edges ([`Edges`]), which wake the
+//! stages of the crosspoints at its two ends, and [`Xp::step`] evaluates
+//! only awake stages. The reference path evaluates every stage.
 
 use crate::config::NocConfig;
 use crate::endpoint::{DmaEngine, InflightTransfer, MemorySlave, ResolvedTransfer, WStream};
-use crate::link::AxiLink;
+use crate::link::{AxiLink, Edges};
 use crate::routing::{connectivity_tables, Connectivity, RoutingAlgorithm};
 use crate::shard::{self, ShardLinkView, Sharding};
 use crate::snapcodec::corrupt;
@@ -48,6 +53,23 @@ enum Comp {
     Mem(usize),
 }
 
+/// The `xp_ends` entry of a link end that is a DMA or memory, not a
+/// crosspoint: its edges wake nothing.
+const NO_XP: u32 = u32::MAX;
+
+/// Hands the edges `e` of one link to the crosspoints at its ends
+/// (`ends`, an `xp_ends` entry): `wake(xp, stages)` for each end that is
+/// a crosspoint.
+#[inline]
+fn dispatch_edges(ends: (u32, u32), e: Edges, mut wake: impl FnMut(usize, u8)) {
+    if ends.0 != NO_XP {
+        wake(ends.0 as usize, e.master_wakes());
+    }
+    if ends.1 != NO_XP {
+        wake(ends.1 as usize, e.slave_wakes());
+    }
+}
+
 /// The activity scheduler: which links need a `begin_cycle` and which
 /// components need a `step` this cycle.
 #[derive(Debug, Clone)]
@@ -62,6 +84,9 @@ struct Sched {
     xps: ActiveSet,
     /// `(master side, slave side)` component of every link.
     ends: Vec<(Comp, Comp)>,
+    /// `(master side, slave side)` crosspoint of every link, [`NO_XP`] for
+    /// an endpoint: where [`dispatch_edges`] sends the link's edges.
+    xp_ends: Vec<(u32, u32)>,
     /// Reusable drain buffers (ascending index order).
     scratch_links: Vec<usize>,
     scratch_dmas: Vec<usize>,
@@ -85,11 +110,19 @@ struct Sched {
 impl Sched {
     fn new(ends: Vec<(Comp, Comp)>, dmas: usize, mems: usize, xps: usize) -> Self {
         let links = ends.len();
+        let xp_of = |c: Comp| match c {
+            Comp::Xp(i) => u32::try_from(i).expect("crosspoint index fits u32"),
+            Comp::Dma(_) | Comp::Mem(_) => NO_XP,
+        };
         let mut s = Self {
             hot_links: ActiveSet::new(links),
             dmas: ActiveSet::new(dmas),
             mems: ActiveSet::new(mems),
             xps: ActiveSet::new(xps),
+            xp_ends: ends
+                .iter()
+                .map(|&(master, slave)| (xp_of(master), xp_of(slave)))
+                .collect(),
             ends,
             scratch_links: Vec::with_capacity(links),
             scratch_dmas: Vec::with_capacity(dmas),
@@ -398,16 +431,23 @@ impl NocSim {
         }
     }
 
-    /// The reference cycle: step *everything* (the pre-activity-driven
-    /// behaviour, kept as the equivalence oracle and bisection aid). Also
-    /// the body of the saturated regime, which additionally counts live
-    /// links to know when precise tracking starts paying again.
+    /// The reference cycle: step *everything*, every stage of every
+    /// crosspoint included (the pre-activity-driven behaviour, kept as the
+    /// equivalence oracle and bisection aid). Also the body of the
+    /// saturated regime, which evaluates only awake crosspoint stages and
+    /// counts live links to know when precise tracking starts paying
+    /// again.
     fn step_full(&mut self, source: &mut dyn TrafficSource) -> usize {
         self.sched.work_items +=
             (self.links.len() + self.dmas.len() + self.mems.len() + self.xps.len()) as u64;
+        let reference = self.cfg.full_sweep;
         let mut live = 0usize;
-        for l in &mut self.links {
-            live += usize::from(l.begin_cycle());
+        for (l, link) in self.links.iter_mut().enumerate() {
+            let e = link.begin_cycle();
+            live += usize::from(e.live);
+            if !reference {
+                dispatch_edges(self.sched.xp_ends[l], e, |x, s| self.xps[x].wake(s));
+            }
         }
         self.poll_stimulus(source, |_| {});
         for di in 0..self.dmas.len() {
@@ -426,7 +466,11 @@ impl NocSim {
             self.mems[mi].step(&mut self.links[link], self.now, &mut self.meter);
         }
         for x in &mut self.xps {
-            x.step(self.links.as_mut_slice());
+            if reference {
+                x.step_all(self.links.as_mut_slice());
+            } else {
+                x.step(self.links.as_mut_slice());
+            }
         }
         // Report completions back to the source.
         let mut finished = std::mem::take(&mut self.finished_scratch);
@@ -505,11 +549,16 @@ impl NocSim {
         // Phase 1: refresh the hot links. Links still carrying beats (or
         // with stale snapshots) stay hot and wake both endpoints; the rest
         // fall asleep until a neighbouring component touches them again.
+        // Every refreshed link, live or not, hands its channel edges to
+        // the crosspoint stages at its ends: a channel just drained by two
+        // pops is no longer live, but its producer may push again.
         let mut live_links = std::mem::take(&mut self.sched.scratch_links);
         self.sched.hot_links.drain_into(&mut live_links);
         self.sched.work_items += live_links.len() as u64;
         for &l in &live_links {
-            if self.links[l].begin_cycle() {
+            let e = self.links[l].begin_cycle();
+            dispatch_edges(self.sched.xp_ends[l], e, |x, s| self.xps[x].wake(s));
+            if e.live {
                 self.sched.hot_links.insert(l);
                 let (master, slave) = self.sched.ends[l];
                 self.sched.wake(master);
@@ -561,10 +610,10 @@ impl NocSim {
             }
             self.sched.hot_links.insert(link);
         }
-        // Phase 5: step the live crosspoints. An XP that moved beats may
-        // have touched any adjacent link; one that did not leaves its
-        // neighbourhood asleep (it holds no work of its own — all XP state
-        // transitions ride on link beats).
+        // Phase 5: step the live crosspoints (their awake stages). An XP
+        // that moved beats may have touched any adjacent link; one that
+        // did not leaves its neighbourhood asleep (it holds no work of its
+        // own — all XP state transitions ride on link beats).
         for &xi in &xps_now {
             if self.xps[xi].step(self.links.as_mut_slice()) {
                 for l in self.xps[xi].links() {
@@ -597,7 +646,10 @@ impl NocSim {
     /// state evolution is bit-identical to [`step_full`](Self::step_full):
     /// components read only cycle snapshots and every channel has a single
     /// pusher and popper per cycle, so the per-region interleaving cannot
-    /// be observed (see `crate::shard` for the full argument).
+    /// be observed (see `crate::shard` for the full argument). Crosspoints
+    /// evaluate only their awake stages, as in the serial saturated
+    /// regime: boundary links hand their edges over in the pre-phase,
+    /// interior links through the region's `wakes`.
     fn step_sharded(&mut self, source: &mut dyn TrafficSource, crew: &Crew<'_>) {
         let mut sharding = self
             .sharding
@@ -611,7 +663,8 @@ impl NocSim {
         // stimulus (sources are stateful — the poll sequence must be the
         // serial one).
         for &(l, rm, rs) in &sharding.boundary {
-            self.links[l].begin_cycle();
+            let e = self.links[l].begin_cycle();
+            dispatch_edges(self.sched.xp_ends[l], e, |x, s| self.xps[x].wake(s));
             for r in [rm, rs] {
                 let ctx = &mut sharding.ctxs[r as usize];
                 let mi = ctx.mirror_of[l] as usize;
@@ -632,15 +685,19 @@ impl NocSim {
             let wstreams = DisjointSlots::new(&mut self.wstreams);
             let ctxs = DisjointSlots::new(&mut sharding.ctxs);
             let owner = &sharding.owner;
+            let xp_ends = &self.sched.xp_ends;
             let now = self.now;
             crew.run(&|r| {
                 // SAFETY (all accesses below): worker r dereferences only
                 // region r's context, its interior links, and the
                 // components/arenas the partition assigned to region r.
                 let ctx = unsafe { ctxs.get_mut(r) };
+                let first_xp = ctx.xps.start;
                 for &l in &ctx.links {
                     // SAFETY: ctx.links holds only links owned by region r.
-                    unsafe { links.get_mut(l) }.begin_cycle();
+                    let e = unsafe { links.get_mut(l) }.begin_cycle();
+                    // An interior link's crosspoints are this region's.
+                    dispatch_edges(xp_ends[l], e, |x, s| ctx.wakes[x - first_xp] |= s);
                 }
                 // SAFETY: the per-region arenas are indexed by r itself —
                 // one slot per region, each touched by its own worker only.
@@ -682,7 +739,9 @@ impl NocSim {
                 for xi in ctx.xps.clone() {
                     // SAFETY: ctx.xps is region r's crossbar range; foreign
                     // links resolve to mirrors inside the view.
-                    unsafe { xps.get_mut(xi) }.step(&mut view);
+                    let xp = unsafe { xps.get_mut(xi) };
+                    xp.wake(std::mem::take(&mut ctx.wakes[xi - first_xp]));
+                    xp.step(&mut view);
                 }
             });
         }
@@ -721,6 +780,23 @@ impl NocSim {
     #[must_use]
     pub fn work_items(&self) -> u64 {
         self.sched.work_items
+    }
+
+    /// Crosspoint stage evaluations so far, summed over every XP, per
+    /// stage in AW, AR, W, B, R order. The reference path evaluates all
+    /// five on every XP step; the activity-driven paths only the awake
+    /// ones. Deterministic telemetry like
+    /// [`work_items`](Self::work_items): not part of [`SimReport`], and
+    /// restarts at zero on restore.
+    #[must_use]
+    pub fn stage_evaluations(&self) -> [u64; 5] {
+        let mut sum = [0; 5];
+        for x in &self.xps {
+            for (acc, n) in sum.iter_mut().zip(x.stage_evaluations()) {
+                *acc += n;
+            }
+        }
+        sum
     }
 
     /// Total transfers completed across all masters.
@@ -1118,10 +1194,12 @@ impl NocSim {
         d.end_section(end)?;
         d.finish()?;
         // The fresh engine keeps the scheduler it was built with. Its sets
-        // hold every index, a superset of the live set, so the first
-        // restored cycle steps everything — and stepping quiescent
-        // hardware is a no-op. The regime switch then settles exactly as
-        // it does after cycle 0.
+        // hold every index, a superset of the live set, and every XP has
+        // every stage awake (stage masks are scheduler state too, never
+        // encoded), so the first restored cycle steps and evaluates
+        // everything — and stepping quiescent hardware or a blocked stage
+        // is a no-op. The regime switch then settles exactly as it does
+        // after cycle 0.
         Ok(())
     }
 }
@@ -1677,6 +1755,70 @@ mod tests {
     }
 
     #[test]
+    fn sleeping_stages_skip_most_address_and_response_evaluations() {
+        // Fig. 4's saturated PATRONoC point: nearly every beat travels on W
+        // and R, so AW, AR and B have something to do in few XP steps.
+        let window = 10_000;
+        let evaluations = |full_sweep: bool| {
+            let mut cfg = NocConfig::slim_4x4();
+            cfg.full_sweep = full_sweep;
+            let mut sim = NocSim::new(cfg).unwrap();
+            sim.run(&mut uniform(1.0), window, window / 5);
+            sim.stage_evaluations()
+        };
+        let reference = evaluations(true);
+        let active = evaluations(false);
+        // The reference evaluates every stage on every XP step.
+        assert_eq!(reference, [window * 16; 5]);
+        for (k, name) in [(0, "AW"), (1, "AR"), (3, "B")] {
+            assert!(
+                active[k] * 10 < reference[k],
+                "{name} evaluated {} of {} times",
+                active[k],
+                reference[k]
+            );
+        }
+        let total = |e: [u64; 5]| e.iter().sum::<u64>();
+        assert!(total(active) * 2 < total(reference), "{active:?}");
+    }
+
+    #[test]
+    fn stage_masks_carry_over_between_serial_and_sharded_stepping() {
+        // Serial steps into saturation, a sharded run, serial steps again:
+        // each path must pick up the stage masks the other left in the
+        // XPs. A fresh sharded run would start with every stage awake and
+        // could not see a stale mask.
+        let observe = |threads: usize| {
+            let mut cfg = NocConfig::slim_4x4();
+            cfg.threads = threads;
+            let mut sim = NocSim::new(cfg).unwrap();
+            let mut src = uniform(1.0);
+            sim.begin_measurement(500);
+            for _ in 0..3_000 {
+                sim.step(&mut src);
+            }
+            assert!(sim.sched.saturated, "serial steps never saturated");
+            let run = sim.run(&mut src, 3_000, 0);
+            assert_eq!(run.threads, threads);
+            for _ in 0..3_000 {
+                sim.step(&mut src);
+            }
+            (
+                sim.snapshot_report(),
+                sim.slave_write_bytes(),
+                sim.link_occupancy(),
+                sim.state_digest(),
+            )
+        };
+        let (sr, sw, so, sd) = observe(1);
+        let (tr, tw, to, td) = observe(2);
+        assert_eq!(sr, tr, "report differs");
+        assert_eq!(sw, tw, "slave bytes differ");
+        assert_eq!(so, to, "occupancy differs");
+        assert_eq!(sd, td, "state digest differs");
+    }
+
+    #[test]
     fn active_stepping_skips_most_work_when_idle() {
         // The deterministic work counter (links refreshed + components
         // stepped) must drop at least 5× at a near-idle operating point —
@@ -1851,6 +1993,7 @@ mod tests {
         restored.restore(&sim.snapshot()).unwrap();
         let after = restored.snapshot_report();
         assert_eq!(restored.work_items(), 0);
+        assert_eq!(restored.stage_evaluations(), [0; 5]);
         assert_eq!(after.cycles_skipped, 0);
         assert_eq!(after.cycles_per_sec, 0.0);
         // The slab counters see only the restore's re-allocations.

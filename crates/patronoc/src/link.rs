@@ -6,9 +6,71 @@
 //! of one stage models the paper's "register slice on every AXI channel"
 //! used to close 1 GHz timing, and extra stages model additional cuts
 //! inserted for long wires (the Table I "Register Slice" parameter).
+//!
+//! [`AxiLink::begin_cycle`] also reports each channel's *edges* ([`Edges`]):
+//! the moments a switch stage blocked on that channel may have something to
+//! do again. Crosspoints sleep their stages between edges (see
+//! [`Xp::step`](crate::xp::Xp::step)).
 
 use axi::AxiId;
 use simkit::{Cycle, Fifo};
+
+/// One bit per AXI channel, in crosspoint stage order (AW, AR, W, B, R):
+/// the layout of the [`Edges`] masks and of a crosspoint's stage mask.
+pub mod stage {
+    /// Write-address channel / stage.
+    pub const AW: u8 = 1;
+    /// Read-address channel / stage.
+    pub const AR: u8 = 1 << 1;
+    /// Write-data channel / stage.
+    pub const W: u8 = 1 << 2;
+    /// Write-response channel / stage.
+    pub const B: u8 = 1 << 3;
+    /// Read-data channel / stage.
+    pub const R: u8 = 1 << 4;
+    /// Every stage.
+    pub const ALL: u8 = AW | AR | W | B | R;
+    /// The channels that flow master → slave.
+    pub const FWD: u8 = AW | AR | W;
+    /// The channels that flow slave → master.
+    pub const BWD: u8 = B | R;
+}
+
+/// What [`AxiLink::begin_cycle`] saw on one link, as [`stage`] masks.
+///
+/// A switch stage blocked on a channel can only be unblocked by one of two
+/// edges there: its consumer end had nothing poppable and now holds a beat
+/// (`heads`), or its producer end had no free slot and now has one
+/// (`spaces`). Both are read off the snapshot counters the previous cycle
+/// left behind, before `begin_cycle` overwrites them.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Edges {
+    /// Whether any channel still holds beats (the link must stay hot);
+    /// `false` means the link is now quiescent.
+    pub live: bool,
+    /// Channels whose consumer end turned poppable.
+    pub heads: u8,
+    /// Channels whose producer end turned pushable.
+    pub spaces: u8,
+}
+
+impl Edges {
+    /// The stages of the link's master-side crosspoint these edges wake:
+    /// it pushes the forward channels and pops the backward ones.
+    #[inline]
+    #[must_use]
+    pub fn master_wakes(self) -> u8 {
+        (self.spaces & stage::FWD) | (self.heads & stage::BWD)
+    }
+
+    /// The stages of the link's slave-side crosspoint these edges wake:
+    /// it pops the forward channels and pushes the backward ones.
+    #[inline]
+    #[must_use]
+    pub fn slave_wakes(self) -> u8 {
+        (self.heads & stage::FWD) | (self.spaces & stage::BWD)
+    }
+}
 
 /// A request beat (the content of one AW or AR transfer).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -107,13 +169,24 @@ impl<T> Channel<T> {
     }
 
     /// Starts a cycle: snapshots all stages and moves beats one stage
-    /// forward (stage i → i+1). Returns whether the channel still holds
-    /// beats — `false` means it is now quiescent ([`is_idle`](Self::is_idle)
-    /// holds: the snapshot was just refreshed on empty stages), so the
-    /// activity scheduler may skip it until a producer pushes again. The
-    /// liveness falls out of the snapshot walk for free, which keeps the
-    /// saturated hot path as fast as the unconditional sweep.
-    pub fn begin_cycle(&mut self) -> bool {
+    /// forward (stage i → i+1). Returns `(occupied, head, space)`:
+    ///
+    /// - `occupied`: the channel still holds beats — `false` means it is
+    ///   now quiescent ([`is_idle`](Self::is_idle) holds: the snapshot was
+    ///   just refreshed on empty stages), so the activity scheduler may
+    ///   skip it until a producer pushes again;
+    /// - `head`: the consumer end ended the last cycle with nothing
+    ///   poppable and now has a beat;
+    /// - `space`: the producer end ended the last cycle with no free slot
+    ///   and now has one.
+    ///
+    /// All three fall out of the counters the walk reads anyway. Always
+    /// inlined: as a call per channel, the edge reads cost more than the
+    /// stage evaluations they save.
+    #[inline(always)]
+    pub fn begin_cycle(&mut self) -> (bool, bool, bool) {
+        let was_dry = self.last.snap_len() == 0;
+        let was_full = self.first().snap_free() == 0;
         self.last.begin_cycle();
         let mut occupied = !self.last.is_empty();
         for s in &mut self.upstream {
@@ -129,7 +202,12 @@ impl<T> Channel<T> {
             let (front, back) = self.upstream.split_at_mut(i);
             advance(&mut front[i - 1], &mut back[0]);
         }
-        occupied
+        // Neither counter moves in the advance: a push into the consumer
+        // end leaves its snapshot alone, a pop from the producer end frees
+        // no slot before the next cycle.
+        let head = was_dry & self.last.can_pop();
+        let space = was_full & self.first().can_push();
+        (occupied, head, space)
     }
 
     /// Whether the producer can push this cycle.
@@ -264,16 +342,31 @@ impl AxiLink {
         }
     }
 
-    /// Starts a simulation cycle on all five channels. Returns whether any
-    /// channel still holds beats (the link must stay hot); `false` means
-    /// the link is now quiescent ([`is_quiescent`](Self::is_quiescent)).
-    pub fn begin_cycle(&mut self) -> bool {
-        let mut live = self.aw.begin_cycle();
-        live |= self.w.begin_cycle();
-        live |= self.ar.begin_cycle();
-        live |= self.b.begin_cycle();
-        live |= self.r.begin_cycle();
-        live
+    /// Starts a simulation cycle on all five channels and returns what it
+    /// saw: whether any channel still holds beats (the link must stay hot;
+    /// `false` means it is now [`is_quiescent`](Self::is_quiescent)), and
+    /// each channel's head and space edges ([`Edges`]).
+    #[inline(always)]
+    pub fn begin_cycle(&mut self) -> Edges {
+        let (aw_live, aw_head, aw_space) = self.aw.begin_cycle();
+        let (w_live, w_head, w_space) = self.w.begin_cycle();
+        let (ar_live, ar_head, ar_space) = self.ar.begin_cycle();
+        let (b_live, b_head, b_space) = self.b.begin_cycle();
+        let (r_live, r_head, r_space) = self.r.begin_cycle();
+        let bit = |on: bool, stage: u8| u8::from(on) * stage;
+        Edges {
+            live: aw_live | w_live | ar_live | b_live | r_live,
+            heads: bit(aw_head, stage::AW)
+                | bit(ar_head, stage::AR)
+                | bit(w_head, stage::W)
+                | bit(b_head, stage::B)
+                | bit(r_head, stage::R),
+            spaces: bit(aw_space, stage::AW)
+                | bit(ar_space, stage::AR)
+                | bit(w_space, stage::W)
+                | bit(b_space, stage::B)
+                | bit(r_space, stage::R),
+        }
     }
 
     /// Whether every channel is empty (used for drain detection).
@@ -524,6 +617,71 @@ mod tests {
         l.begin_cycle();
         l.w.pop();
         assert!(l.is_idle());
+    }
+
+    #[test]
+    fn head_edge_fires_once_when_the_consumer_end_turns_poppable() {
+        for stages in 1..4usize {
+            let mut ch: Channel<u64> = Channel::new(stages);
+            // A fresh channel has nothing pushable until its first cycle.
+            assert_eq!(ch.begin_cycle(), (false, false, true));
+            ch.push(1);
+            let mut heads = 0;
+            for _ in 0..stages {
+                let (occupied, head, _) = ch.begin_cycle();
+                assert!(occupied);
+                heads += usize::from(head);
+            }
+            assert_eq!(heads, 1, "stages={stages}");
+            assert!(ch.can_pop());
+            // Left unpopped, the same head raises no second edge.
+            assert_eq!(ch.begin_cycle(), (true, false, false));
+            assert_eq!(ch.pop(), Some(1));
+            assert_eq!(ch.begin_cycle(), (false, false, false));
+        }
+    }
+
+    #[test]
+    fn space_edge_fires_when_the_producer_end_frees_a_slot() {
+        let mut ch: Channel<u64> = Channel::new(1);
+        ch.begin_cycle();
+        ch.push(1);
+        ch.push(2);
+        assert!(!ch.can_push());
+        // Full at the snapshot: still no slot.
+        assert_eq!(ch.begin_cycle(), (true, true, false));
+        assert!(!ch.can_push());
+        // Two same-cycle pops drain the channel: no longer live, but the
+        // producer must still learn that it may push again.
+        assert_eq!((ch.pop(), ch.pop()), (Some(1), Some(2)));
+        assert_eq!(ch.begin_cycle(), (false, false, true));
+        assert!(ch.can_push());
+    }
+
+    #[test]
+    fn link_edges_map_to_the_stages_at_each_end() {
+        let mut l = AxiLink::new(1);
+        l.begin_cycle();
+        l.w.push(beat(4, true));
+        l.b.push(RespBeat {
+            id: AxiId(0),
+            bytes: 0,
+            last: true,
+            txn: 0,
+        });
+        let e = l.begin_cycle();
+        assert_eq!(e.heads, stage::W | stage::B);
+        assert_eq!(e.spaces, 0);
+        // A forward head wakes the slave side, a backward one the master.
+        assert_eq!(e.slave_wakes(), stage::W);
+        assert_eq!(e.master_wakes(), stage::B);
+        let spaces = Edges {
+            live: false,
+            heads: 0,
+            spaces: stage::AR | stage::R,
+        };
+        assert_eq!(spaces.master_wakes(), stage::AR);
+        assert_eq!(spaces.slave_wakes(), stage::R);
     }
 
     #[test]

@@ -8,12 +8,15 @@
 //! exactly one worker; a link crossing bands is a *boundary* link. Each
 //! cycle then runs in three phases:
 //!
-//! 1. **Serial pre-phase** — `begin_cycle` every boundary link and capture
-//!    a [`LinkMirror`] of its fresh snapshot for both adjacent regions,
-//!    then poll traffic stimulus (sources are stateful; the poll sequence
-//!    must not depend on sharding).
+//! 1. **Serial pre-phase** — `begin_cycle` every boundary link, wake the
+//!    crosspoint stages its channel edges concern, and capture a
+//!    [`LinkMirror`] of its fresh snapshot for both adjacent regions, then
+//!    poll traffic stimulus (sources are stateful; the poll sequence must
+//!    not depend on sharding).
 //! 2. **Parallel compute** — one worker per region begins the region's
-//!    interior links and steps its DMAs, memory slaves and crosspoints.
+//!    interior links, collecting their edges in [`RegionCtx::wakes`], and
+//!    steps its DMAs, memory slaves and crosspoints, handing each XP its
+//!    collected wakes first.
 //!    Components reach links through [`ShardLinkView`]: interior links
 //!    resolve to the real [`AxiLink`], boundary links to the region's
 //!    mirror, which grants exactly the pushes and pops the real channel's
@@ -218,6 +221,11 @@ pub(crate) struct RegionCtx {
     /// Shard throughput meter, absorbed into the run meter at commit (the
     /// counters are integers, so the fold is exact and order-free).
     pub(crate) meter: ThroughputMeter,
+    /// Per crosspoint of `xps` (offset from `xps.start`): the stages the
+    /// edges of this cycle's interior links wake, handed to the XP when
+    /// the worker steps it (boundary links wake theirs in the serial
+    /// pre-phase).
+    pub(crate) wakes: Vec<u8>,
 }
 
 /// The full region partition of one simulation instance.
@@ -256,6 +264,7 @@ impl Sharding {
                 mirror_of: vec![NO_MIRROR; link_nodes.len()],
                 mirrors: Vec::new(),
                 meter: ThroughputMeter::new(0),
+                wakes: vec![0; map.nodes(r).len()],
             })
             .collect();
         let mut owner = Vec::with_capacity(link_nodes.len());

@@ -20,8 +20,12 @@
 //!   restoring the upstream ID.
 //! * **R** — as B, but bursts are forwarded atomically (no beat interleave
 //!   towards one upstream port, matching `axi_mux`'s locked R path).
+//!
+//! A stage that moved nothing sleeps until something it reads changes: a
+//! channel edge on one of its links ([`Edges`](crate::link::Edges)) or a
+//! grant of another stage of the same XP (see [`Xp::step`]).
 
-use crate::link::{LinkView, ReqBeat, RespBeat};
+use crate::link::{stage, LinkView, ReqBeat, RespBeat};
 use crate::routing::{routing_table, RoutingAlgorithm};
 #[cfg(test)]
 use crate::routing::{xp_connectivity, Connectivity};
@@ -147,6 +151,12 @@ pub struct Xp {
     /// R data beats forwarded per *input* port, i.e. towards that upstream
     /// direction (utilization probe).
     r_beats: [u64; PORTS],
+    /// The stages ([`stage`] bits) the next [`step`](Self::step)
+    /// evaluates. Scheduler state: never checkpointed, and all set on a
+    /// fresh XP.
+    awake: u8,
+    /// Stage evaluations so far, in stage order (telemetry, not state).
+    evaluations: [u64; 5],
 }
 
 impl Xp {
@@ -186,6 +196,8 @@ impl Xp {
             r_lock: vec![None; PORTS],
             w_beats: [0; PORTS],
             r_beats: [0; PORTS],
+            awake: stage::ALL,
+            evaluations: [0; 5],
         }
     }
 
@@ -237,20 +249,84 @@ impl Xp {
             .filter_map(|l| *l)
     }
 
-    /// Advances all five channels by one cycle. Returns whether the XP
-    /// moved any beat — `false` means the step was a no-op (nothing to
-    /// route) and none of its adjacent links were touched, so the
-    /// scheduler may leave the neighbourhood asleep.
+    /// Stage evaluations so far, per stage in [`stage`] order (AW, AR, W,
+    /// B, R). Telemetry: not part of the checkpointed state.
+    #[must_use]
+    pub fn stage_evaluations(&self) -> &[u64; 5] {
+        &self.evaluations
+    }
+
+    /// Marks `stages` ([`stage`] bits) for evaluation on the next
+    /// [`step`](Self::step). The engines call it with the channel edges of
+    /// the XP's links ([`Edges::master_wakes`](crate::link::Edges::master_wakes),
+    /// [`Edges::slave_wakes`](crate::link::Edges::slave_wakes)). Waking a
+    /// stage that has nothing to do is always safe: it runs the normal
+    /// code and moves nothing.
+    #[inline]
+    pub fn wake(&mut self, stages: u8) {
+        self.awake |= stages;
+    }
+
+    /// Advances the awake stages by one cycle, in AW, AR, W, B, R order.
+    /// Returns whether the XP moved any beat — `false` means the step was
+    /// a no-op (nothing to route) and none of its adjacent links were
+    /// touched, so the scheduler may leave the neighbourhood asleep.
+    ///
+    /// A stage that moves nothing goes to sleep. What it reads is its
+    /// links' cycle snapshots (heads and `can_push`) and XP state that
+    /// only grants change, so until one of these changes it would move
+    /// nothing again:
+    ///
+    /// - a head edge or space edge on one of its channels, which the
+    ///   engine passes in through [`wake`](Self::wake);
+    /// - a grant of another stage here: an AW grant queues a W stream (W
+    ///   wakes this same cycle, since it runs later), the last W beat of a
+    ///   burst frees its input for the next AW, a B grant releases a write
+    ///   ID and completes an AW ordering entry, and the last R beat does
+    ///   the same for AR.
+    ///
+    /// A stage's own pops and pushes keep it awake, since it moved.
     ///
     /// Generic over [`LinkView`] so the identical routing code runs against
     /// the real link array (serial engine) or a region shard's boundary-
     /// mirrored view (sharded engine).
     pub fn step<L: LinkView + ?Sized>(&mut self, links: &mut L) -> bool {
-        let mut moved = self.step_requests(links, true);
-        moved |= self.step_requests(links, false);
-        moved |= self.step_w(links);
-        moved |= self.step_b(links);
-        moved |= self.step_r(links);
+        if self.awake == 0 {
+            return false;
+        }
+        let mut moved = self.eval_stage(links, 0, |x, l| x.step_requests(l, true));
+        moved |= self.eval_stage(links, 1, |x, l| x.step_requests(l, false));
+        moved |= self.eval_stage(links, 2, Self::step_w);
+        moved |= self.eval_stage(links, 3, Self::step_b);
+        moved |= self.eval_stage(links, 4, Self::step_r);
+        moved
+    }
+
+    /// Evaluates every stage, whatever the wake mask says: the reference
+    /// that [`step`](Self::step) is checked against.
+    pub fn step_all<L: LinkView + ?Sized>(&mut self, links: &mut L) -> bool {
+        self.awake = stage::ALL;
+        self.step(links)
+    }
+
+    /// Runs stage `k` (bit `1 << k`) if it is awake, and puts it to sleep
+    /// if it moved nothing.
+    #[inline(always)]
+    fn eval_stage<L: LinkView + ?Sized>(
+        &mut self,
+        links: &mut L,
+        k: usize,
+        eval: impl FnOnce(&mut Self, &mut L) -> bool,
+    ) -> bool {
+        let bit = 1 << k;
+        if self.awake & bit == 0 {
+            return false;
+        }
+        self.evaluations[k] += 1;
+        let moved = eval(self, links);
+        if !moved {
+            self.awake &= !bit;
+        }
         moved
     }
 
@@ -355,6 +431,7 @@ impl Xp {
                 self.w_order[o].push_back(i);
                 debug_assert!(self.w_route[i].is_none(), "one write per input");
                 self.w_route[i] = Some(o);
+                self.awake |= stage::W;
                 beat.id = rid;
                 links.aw_push(out_idx, beat);
             } else {
@@ -402,6 +479,7 @@ impl Xp {
             if last {
                 self.w_order[o].pop_front();
                 self.w_route[i] = None;
+                self.awake |= stage::AW;
             }
         }
         moved
@@ -460,6 +538,7 @@ impl Xp {
                 .expect("response id is mapped");
             self.wr_remap[o].release(beat.id);
             self.aw_guard[i].complete(key.id);
+            self.awake |= stage::AW;
             beat.id = key.id;
             links.b_push(in_idx, beat);
             moved = true;
@@ -509,6 +588,7 @@ impl Xp {
                 self.rd_remap[o].release(beat.id);
                 self.ar_guard[i].complete(key.id);
                 self.r_lock[i] = None;
+                self.awake |= stage::AR;
             } else {
                 self.r_lock[i] = Some(o);
             }
@@ -678,7 +758,7 @@ mod tests {
         for l in links.iter_mut() {
             l.begin_cycle();
         }
-        xp.step(links);
+        xp.step_all(links);
     }
 
     #[test]
@@ -1132,7 +1212,7 @@ mod tests {
         moved
     }
 
-    /// `Xp::step` with the oracle stages (the W stage never scanned).
+    /// `Xp::step_all` with the oracle stages (the W stage never scanned).
     fn reference_step(xp: &mut Xp, links: &mut [AxiLink]) -> bool {
         let mut moved = reference_step_requests(xp, links, true);
         moved |= reference_step_requests(xp, links, false);
@@ -1140,6 +1220,18 @@ mod tests {
         moved |= reference_step_b(xp, links);
         moved |= reference_step_r(xp, links);
         moved
+    }
+
+    /// How [`Harness::cycle`] steps the XP.
+    #[derive(Clone, Copy, PartialEq, Eq)]
+    enum Stepping {
+        /// Every stage, through the nested-loop oracles.
+        Oracle,
+        /// Every stage, through `Xp::step_all`.
+        AllStages,
+        /// Only awake stages (`Xp::step`), woken by the links' edges as
+        /// the engine dispatches them.
+        Masked,
     }
 
     /// A lone XP (node 5 of a 4×4 mesh, full connectivity) with random
@@ -1159,16 +1251,16 @@ mod tests {
     }
 
     impl Harness {
-        fn new(id_width: u32) -> Self {
+        fn new(id_width: u32, link_stages: usize) -> Self {
             let topo = Topology::mesh4x4();
             let algo = RoutingAlgorithm::YxDimensionOrder;
             let mut links = Vec::new();
             let mut in_links = [None; PORTS];
             let mut out_links = [None; PORTS];
             for p in 0..PORTS {
-                links.push(AxiLink::new(1));
+                links.push(AxiLink::new(link_stages));
                 in_links[p] = Some(links.len() - 1);
-                links.push(AxiLink::new(1));
+                links.push(AxiLink::new(link_stages));
                 out_links[p] = Some(links.len() - 1);
             }
             let allowed = xp_connectivity(topo, algo, 5, Connectivity::Full);
@@ -1197,11 +1289,21 @@ mod tests {
         }
 
         /// One cycle: begin every link, let the masters act, step the XP
-        /// (the oracle stages if `reference`), then let the slaves act.
-        /// Returns the XP's `moved` flag.
-        fn cycle(&mut self, rng: &mut Rng, reference: bool) -> bool {
-            for l in &mut self.links {
-                l.begin_cycle();
+        /// as `stepping` says, then let the slaves act. Returns the XP's
+        /// `moved` flag.
+        fn cycle(&mut self, rng: &mut Rng, stepping: Stepping) -> bool {
+            for (l, link) in self.links.iter_mut().enumerate() {
+                let e = link.begin_cycle();
+                if stepping == Stepping::Masked {
+                    // The XP is the slave side of its input links and the
+                    // master side of its outputs; the random masters and
+                    // slaves at the other ends sleep no stages.
+                    self.xp.wake(if self.xp.in_links.contains(&Some(l)) {
+                        e.slave_wakes()
+                    } else {
+                        e.master_wakes()
+                    });
+                }
             }
             for p in 0..PORTS {
                 let l = self.xp.in_links[p].unwrap();
@@ -1232,10 +1334,10 @@ mod tests {
                     self.links[l].r.pop();
                 }
             }
-            let moved = if reference {
-                reference_step(&mut self.xp, &mut self.links)
-            } else {
-                self.xp.step(self.links.as_mut_slice())
+            let moved = match stepping {
+                Stepping::Oracle => reference_step(&mut self.xp, &mut self.links),
+                Stepping::AllStages => self.xp.step_all(self.links.as_mut_slice()),
+                Stepping::Masked => self.xp.step(self.links.as_mut_slice()),
             };
             for o in 0..PORTS {
                 let l = self.xp.out_links[o].unwrap();
@@ -1295,23 +1397,46 @@ mod tests {
         }
     }
 
+    /// Runs two copies of one random harness for 400 cycles, stepped as
+    /// `fast` and `slow` say, and requires the same `moved` flag, XP
+    /// state and link contents after every cycle.
+    fn run_against(
+        seed: u64,
+        id_width: u32,
+        link_stages: usize,
+        fast: Stepping,
+        slow: Stepping,
+    ) -> Result<(), TestCaseError> {
+        let mut a = Harness::new(id_width, link_stages);
+        let mut b = a.clone();
+        let (mut rng_a, mut rng_b) = (Rng::new(seed), Rng::new(seed));
+        let mut moves = 0;
+        for c in 0..400 {
+            let moved = a.cycle(&mut rng_a, fast);
+            prop_assert_eq!(moved, b.cycle(&mut rng_b, slow), "cycle {}", c);
+            prop_assert!(a.state() == b.state(), "state diverged at cycle {}", c);
+            moves += u32::from(moved);
+        }
+        prop_assert!(moves > 100, "harness too quiet: {} moving cycles", moves);
+        Ok(())
+    }
+
     proptest! {
         #[test]
         fn head_cached_stages_match_the_nested_loop_oracle(
             seed in any::<u64>(),
             id_width in 1u32..=3,
         ) {
-            let mut fast = Harness::new(id_width);
-            let mut slow = fast.clone();
-            let (mut rng_fast, mut rng_slow) = (Rng::new(seed), Rng::new(seed));
-            let mut moves = 0;
-            for c in 0..400 {
-                let moved = fast.cycle(&mut rng_fast, false);
-                prop_assert_eq!(moved, slow.cycle(&mut rng_slow, true), "cycle {}", c);
-                prop_assert!(fast.state() == slow.state(), "state diverged at cycle {}", c);
-                moves += u32::from(moved);
-            }
-            prop_assert!(moves > 100, "harness too quiet: {} moving cycles", moves);
+            run_against(seed, id_width, 1, Stepping::AllStages, Stepping::Oracle)?;
+        }
+
+        #[test]
+        fn sleeping_stages_match_the_all_stage_reference(
+            seed in any::<u64>(),
+            id_width in 1u32..=3,
+            link_stages in 1usize..=3,
+        ) {
+            run_against(seed, id_width, link_stages, Stepping::Masked, Stepping::AllStages)?;
         }
     }
 }

@@ -1,6 +1,7 @@
 //! The [`Engine`] trait and its one cycle loop (`traffic::drive`), driven
 //! through `Box<dyn Engine>` on both engines: the stop rules, the horizon
-//! jump at the end of a window, the full sweep's loop that never jumps,
+//! jump at the end of a window, the source asked for its next arrival only
+//! when the engine has nothing due, the full sweep's loop that never jumps,
 //! repeated runs, manual stepping, and the thread count a report names.
 
 use std::cell::Cell;
@@ -74,6 +75,32 @@ impl TrafficSource for OneEach {
     }
 }
 
+/// A source that always has another write ready, so the engine it feeds
+/// never drains. Counts how often the loop asks for the next arrival.
+#[derive(Default)]
+struct Flood {
+    issued: u64,
+    asked: Cell<u64>,
+}
+
+impl TrafficSource for Flood {
+    fn poll(&mut self, master: usize, _now: Cycle) -> Option<Transfer> {
+        self.issued += 1;
+        Some(Transfer {
+            id: self.issued,
+            dst: (master + 1) % 16,
+            offset: 0,
+            bytes: 256,
+            kind: TransferKind::Write,
+        })
+    }
+
+    fn next_arrival(&self, now: Cycle) -> Horizon {
+        self.asked.set(self.asked.get() + 1);
+        Horizon::At(now)
+    }
+}
+
 /// A fresh 4×4 engine of each kind.
 fn engines() -> Vec<Box<dyn Engine>> {
     vec![
@@ -141,6 +168,20 @@ fn a_full_sweep_run_never_asks_the_source_for_its_next_arrival() {
         let mut src = OneEach::open(16);
         engine.run(&mut src, 5_000, 0);
         assert!(src.asked.get() > 0);
+    }
+}
+
+#[test]
+fn an_engine_that_never_drains_never_asks_the_source_for_its_next_arrival() {
+    // With work in flight the engine's own horizon is `now`, so no source
+    // answer could open a gap to jump.
+    for mut engine in engines() {
+        let mut src = Flood::default();
+        let report = engine.run(&mut src, 5_000, 0);
+        assert!(report.transfers_completed > 0);
+        assert!(!engine.is_drained());
+        assert_eq!(report.cycles_skipped, 0);
+        assert_eq!(src.asked.get(), 0);
     }
 }
 

@@ -110,11 +110,14 @@ pub trait Engine {
 /// 2. a done source on a drained engine stops the run with
 ///    [`StopReason::Drained`];
 /// 3. when `skip` is set and budget remains, event-horizon time skipping
-///    folds the engine's and the source's horizons and, if both lie
-///    beyond `now`, jumps to the earlier one (clamped to the deadline);
-///    the watchdog does not count the skipped span as a stall. The
-///    full-sweep reference passes `skip = false`: it steps every cycle and
-///    never asks the source.
+///    asks the engine for its horizon and, only if that lies beyond `now`,
+///    folds in the source's ([`TrafficSource::next_arrival`]); if both lie
+///    beyond `now`, it jumps to the earlier one (clamped to the deadline),
+///    and the watchdog does not count the skipped span as a stall. A busy
+///    engine (horizon `now`) therefore never asks the source: the fold
+///    could not lie beyond `now`, and the lookahead is a pure `&self`
+///    call, so leaving it out changes nothing. The full-sweep reference
+///    passes `skip = false`: it steps every cycle and never asks either.
 ///
 /// # Panics
 ///
@@ -150,13 +153,16 @@ pub fn drive<E: Engine>(
             break;
         }
         if skip && now < deadline {
-            // Both horizons beyond `now` (and budget left) put the target
-            // strictly after `now`.
-            let horizon = engine.horizon().min(source.next_arrival(now));
-            if horizon.is_after(now) {
-                let target = horizon.target(deadline);
-                engine.skip_to(target);
-                watchdog.excuse(target);
+            let engine_horizon = engine.horizon();
+            if engine_horizon.is_after(now) {
+                // Both horizons beyond `now` (and budget left) put the
+                // target strictly after `now`.
+                let horizon = engine_horizon.min(source.next_arrival(now));
+                if horizon.is_after(now) {
+                    let target = horizon.target(deadline);
+                    engine.skip_to(target);
+                    watchdog.excuse(target);
+                }
             }
         }
     }
