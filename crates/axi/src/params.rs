@@ -25,6 +25,9 @@ pub enum ConfigError {
     /// A testbench knob that must be non-zero was zero (e.g. link register
     /// stages, region size, DMA descriptor-queue depth).
     ZeroParameter(&'static str),
+    /// An endpoint placement list (`"masters"` or `"slaves"`) repeats a
+    /// node or is not in ascending node order.
+    EndpointOrder(&'static str),
 }
 
 impl fmt::Display for ConfigError {
@@ -49,6 +52,9 @@ impl fmt::Display for ConfigError {
                 "endpoint count {requested} exceeds topology capacity {capacity}"
             ),
             Self::ZeroParameter(name) => write!(f, "{name} must be non-zero"),
+            Self::EndpointOrder(name) => {
+                write!(f, "{name} must list distinct nodes in ascending order")
+            }
         }
     }
 }

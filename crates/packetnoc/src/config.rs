@@ -47,6 +47,8 @@ pub struct PacketNocConfig {
     /// (1 = serial). The mesh is split into contiguous row bands, one
     /// worker each; results are bit-identical at any thread count — the
     /// equivalence suite pins that — so this knob trades wall clock only.
+    /// With [`full_sweep`](Self::full_sweep) set it is ignored: the
+    /// reference always runs serially.
     pub threads: usize,
 }
 

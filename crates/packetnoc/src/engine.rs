@@ -11,11 +11,11 @@
 use crate::config::PacketNocConfig;
 use crate::ni::NetworkInterface;
 use crate::router::{Delivery, Flit, FlitKind, Port, Router, LOCAL, PORTS};
-use crate::shard::{ShardBufView, Sharding};
+use crate::shard::{RegionCtx, ShardBufView, Sharding};
 use crate::snapcodec::{corrupt, decode_transfer, encode_transfer};
 use crate::txn::{TxHandle, TxRecord};
 use simkit::pool::{crew_scope, Crew};
-use simkit::region::{DisjointSlots, RegionMap};
+use simkit::region::{split_front, RegionMap};
 use simkit::sched::{should_desaturate, should_saturate, ActiveSet};
 use simkit::slab::SlabStats;
 use simkit::snap::{DecodeLimits, Decoder, Encoder, SnapError};
@@ -26,6 +26,17 @@ use traffic::{drive, Engine, TrafficSource};
 /// Per-region slot → canonical record number map (see
 /// [`PacketNocSim::canonical_txs`]).
 type CanonMap = Vec<Vec<Option<u32>>>;
+
+/// One region's share of a sharded cycle: its context, its own routers,
+/// NIs and input buffers, and its arena, each a plain `&mut` cut off the
+/// engine's arrays.
+struct RegionPart<'a> {
+    ctx: &'a mut RegionCtx,
+    routers: &'a mut [Router],
+    nis: &'a mut [NetworkInterface],
+    bufs: &'a mut [Fifo<Flit>],
+    txs: &'a mut Slab<TxRecord>,
+}
 
 /// The packet-based baseline NoC simulator.
 #[derive(Debug)]
@@ -45,7 +56,8 @@ pub struct PacketNocSim {
     /// serial).
     node_region: Vec<u32>,
     /// The region partition when `cfg.threads > 1` splits the mesh into
-    /// more than one row band; `None` runs the classic serial sweeps.
+    /// more than one row band and `cfg.full_sweep` is off; `None` runs the
+    /// classic serial sweeps.
     sharding: Option<Sharding>,
     now: Cycle,
     meter: ThroughputMeter,
@@ -115,7 +127,7 @@ impl PacketNocSim {
             hot_routers.insert(i);
         }
         let map = RegionMap::new(cfg.cols, cfg.rows, cfg.threads.max(1));
-        let sharding = (cfg.threads > 1 && map.regions() > 1).then(|| {
+        let sharding = (cfg.threads > 1 && !cfg.full_sweep && map.regions() > 1).then(|| {
             // The router pushing into input port `p` of `node` is the
             // neighbour in direction `p` (its opposite-facing output).
             let (cols, rows) = (cfg.cols, cfg.rows);
@@ -461,59 +473,61 @@ impl PacketNocSim {
             ctx.mirrors[mi].capture(&self.bufs[b]);
         }
         self.poll_stimulus(source, |_| {});
+        // Parallel phase: worker r steps region r, through plain `&mut`
+        // slices of its own routers, NIs and buffers, cut off the engine's
+        // arrays in region order.
         {
-            let bufs = DisjointSlots::new(&mut self.bufs);
-            let routers = DisjointSlots::new(&mut self.routers);
-            let nis = DisjointSlots::new(&mut self.nis);
-            let txs = DisjointSlots::new(&mut self.txs);
-            let ctxs = DisjointSlots::new(&mut sharding.ctxs);
-            let node_region = self.node_region.as_slice();
+            let bufs_per_node = PORTS * vcs;
+            let (mut routers, mut nis, mut bufs) = (
+                self.routers.as_mut_slice(),
+                self.nis.as_mut_slice(),
+                self.bufs.as_mut_slice(),
+            );
+            let mut parts: Vec<RegionPart<'_>> = sharding
+                .ctxs
+                .iter_mut()
+                .zip(&mut self.txs)
+                .map(|(ctx, txs)| {
+                    let nodes = ctx.nodes.len();
+                    RegionPart {
+                        routers: split_front(&mut routers, nodes),
+                        nis: split_front(&mut nis, nodes),
+                        bufs: split_front(&mut bufs, nodes * bufs_per_node),
+                        txs,
+                        ctx,
+                    }
+                })
+                .collect();
             let now = self.now;
             let neighbor = move |node: usize, p: Port| Self::neighbor(cols, rows, node, p);
-            crew.run(&|r| {
-                // SAFETY (all accesses below): region `r` runs on exactly
-                // one worker, and a region's context, transaction slab,
-                // NIs, routers and non-boundary buffers are touched by
-                // that worker alone — the partition is disjoint by
-                // construction, and foreign buffers resolve to mirrors.
-                let ctx = unsafe { ctxs.get_mut(r) };
+            crew.run_each(&mut parts, &|r, part: &mut RegionPart<'_>| {
+                let RegionPart {
+                    ctx,
+                    routers,
+                    nis,
+                    bufs,
+                    txs,
+                } = part;
+                let base = ctx.nodes.start * bufs_per_node;
                 for &b in &ctx.interior_bufs {
-                    // SAFETY: ctx.interior_bufs holds only buffers interior
-                    // to region r.
-                    unsafe { bufs.get_mut(b) }.begin_cycle();
+                    bufs[b - base].begin_cycle();
                 }
-                // SAFETY: the transaction slab is per-region, indexed by r
-                // itself — each slot touched by its own worker only.
-                let region_txs = unsafe { txs.get_mut(r) };
-                for node in ctx.nodes.clone() {
-                    // SAFETY: ctx.nodes is region r's node band; each NI
-                    // belongs to exactly one node.
-                    let ni = unsafe { nis.get_mut(node) };
-                    ni.step(now, vcs, region_txs, |vc, flit| {
+                // An NI injects into its own node's LOCAL input buffer.
+                for (node, ni) in ctx.nodes.clone().zip(nis.iter_mut()) {
+                    ni.step(now, vcs, txs, |vc, flit| {
                         let idx = Router::buf_index(node, LOCAL, vc, vcs);
-                        // SAFETY: the NI always injects into its own node's
-                        // LOCAL input buffer (idx above) — never across a
-                        // region boundary — and node is in region r's band.
-                        unsafe { bufs.get_mut(idx) }.push(flit).is_ok()
+                        bufs[idx - base].push(flit).is_ok()
                     });
                 }
                 let mut view = ShardBufView {
-                    bufs: &bufs,
-                    node_region,
-                    bufs_per_node: PORTS * vcs,
+                    bufs,
+                    base,
                     region: u32::try_from(r).expect("region fits u32"),
                     mirror_of: &ctx.mirror_of,
                     mirrors: &mut ctx.mirrors,
                 };
-                for node in ctx.nodes.clone() {
-                    // SAFETY: ctx.nodes is region r's node band; foreign
-                    // buffers resolve to mirrors inside the view.
-                    unsafe { routers.get_mut(node) }.step(
-                        &mut view,
-                        &neighbor,
-                        &mut |_| {},
-                        &mut ctx.deliveries,
-                    );
+                for router in routers.iter_mut() {
+                    router.step(&mut view, &neighbor, &mut |_| {}, &mut ctx.deliveries);
                 }
             });
         }
@@ -1273,6 +1287,27 @@ mod tests {
         let report = sim.run(&mut src, 1_000_000, 0);
         assert_eq!(report.stop_reason, StopReason::Drained);
         assert_eq!(report.cycles_skipped, 0, "the reference path never skips");
+    }
+
+    #[test]
+    fn full_sweep_is_the_serial_reference_at_any_thread_count() {
+        let run = |threads: usize| {
+            let cfg = PacketNocConfig {
+                full_sweep: true,
+                threads,
+                ..PacketNocConfig::noxim_high_performance()
+            };
+            let mut sim = PacketNocSim::new(cfg);
+            let report = sim.run(&mut uniform(0.3), 5_000, 1_000);
+            (report, sim.work_items())
+        };
+        let (serial, serial_work) = run(1);
+        for threads in [2, 4] {
+            let (report, work) = run(threads);
+            assert_eq!(report.threads, 1, "{threads} threads");
+            assert_eq!(work, serial_work, "{threads} threads");
+            assert_eq!(report, serial, "{threads} threads");
+        }
     }
 
     /// Runs the same Poisson workload region-sharded across `threads`

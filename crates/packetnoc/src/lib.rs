@@ -42,7 +42,7 @@
 //! assert!(report.throughput_gib_s > 0.0);
 //! ```
 
-#![deny(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 
 pub mod config;
 pub mod engine;

@@ -11,6 +11,12 @@
 //!   the fresh cycle snapshot plus the flits staged against it. The owner
 //!   keeps popping the real buffer; the foreign pusher spends mirror
 //!   credit; the staged flits replay at the serial commit.
+//! * A region's routers, NIs and input buffers are one contiguous range
+//!   each (nodes are numbered row by row, and buffers node by node), so
+//!   every worker steps plain `&mut` slices of them, cut off the engine's
+//!   arrays with `split_at_mut`. Its boundary input buffers lie in its own
+//!   range: it pops them as their owner, and their foreign pusher writes
+//!   only to its mirror.
 //! * All delivery bookkeeping (throughput meter, latency histogram,
 //!   transaction retirement, completion callbacks) already funnels through
 //!   one `on_delivery` path, so the parallel phase merely *collects*
@@ -19,7 +25,7 @@
 //!   serial sweep's ascending-router order.
 
 use crate::router::{Delivery, Flit, Router, PORTS};
-use simkit::region::{DisjointSlots, RegionMap};
+use simkit::region::RegionMap;
 use simkit::Fifo;
 use std::ops::Range;
 
@@ -153,24 +159,28 @@ impl Sharding {
 }
 
 /// One region's view of the flat buffer array during the parallel phase:
-/// buffers of the region's own nodes resolve to the real [`Fifo`] (only
-/// this worker touches them), foreign downstream buffers to the region's
-/// push mirror. Peek/pop of a foreign buffer panics — a partitioning bug
-/// fails loudly instead of racing.
+/// buffers of the region's own nodes resolve to the real [`Fifo`] in the
+/// region's own slice, foreign downstream buffers to the region's push
+/// mirror. Peek/pop of a foreign buffer panics — a partitioning bug fails
+/// loudly.
 pub(crate) struct ShardBufView<'a> {
-    pub(crate) bufs: &'a DisjointSlots<'a, Fifo<Flit>>,
-    /// node → region.
-    pub(crate) node_region: &'a [u32],
-    /// Buffers per node (`PORTS * vcs`): maps a buffer index to its node.
-    pub(crate) bufs_per_node: usize,
+    /// The buffers of the region's nodes, in buffer order.
+    pub(crate) bufs: &'a mut [Fifo<Flit>],
+    /// Global index of `bufs[0]`.
+    pub(crate) base: usize,
     pub(crate) region: u32,
     pub(crate) mirror_of: &'a [u32],
     pub(crate) mirrors: &'a mut [BufMirror],
 }
 
 impl ShardBufView<'_> {
-    fn is_mine(&self, idx: usize) -> bool {
-        self.node_region[idx / self.bufs_per_node] == self.region
+    /// Global buffer `idx` if it is one of the region's own.
+    fn own(&self, idx: usize) -> Option<&Fifo<Flit>> {
+        self.bufs.get(idx.wrapping_sub(self.base))
+    }
+
+    fn own_mut(&mut self, idx: usize) -> Option<&mut Fifo<Flit>> {
+        self.bufs.get_mut(idx.wrapping_sub(self.base))
     }
 
     fn mirror_index(&self, idx: usize) -> usize {
@@ -185,23 +195,16 @@ impl ShardBufView<'_> {
 
     /// Whether `idx` accepts a push this cycle.
     pub(crate) fn can_push(&self, idx: usize) -> bool {
-        if self.is_mine(idx) {
-            // SAFETY: the buffer's node is in this region; only this
-            // worker touches it.
-            unsafe { self.bufs.get(idx) }.can_push()
-        } else {
-            self.mirrors[self.mirror_index(idx)].can_push()
+        match self.own(idx) {
+            Some(buf) => buf.can_push(),
+            None => self.mirrors[self.mirror_index(idx)].can_push(),
         }
     }
 
     /// Pushes into `idx` (caller checked [`can_push`](Self::can_push)).
     pub(crate) fn push(&mut self, idx: usize, f: Flit) {
-        if self.is_mine(idx) {
-            // SAFETY: as `can_push`, plus `&mut self` for exclusivity.
-            assert!(
-                unsafe { self.bufs.get_mut(idx) }.push(f).is_ok(),
-                "push on full buffer"
-            );
+        if let Some(buf) = self.own_mut(idx) {
+            assert!(buf.push(f).is_ok(), "push on full buffer");
         } else {
             let m = self.mirror_index(idx);
             self.mirrors[m].push(f);
@@ -210,16 +213,13 @@ impl ShardBufView<'_> {
 
     /// The flit poppable from `idx` this cycle (own buffers only).
     pub(crate) fn peek(&self, idx: usize) -> Option<Flit> {
-        assert!(self.is_mine(idx), "peek on a foreign buffer");
-        // SAFETY: owner check above; single worker per region.
-        unsafe { self.bufs.get(idx) }.peek().copied()
+        let buf = self.own(idx).expect("peek on a foreign buffer");
+        buf.peek().copied()
     }
 
     /// Pops the flit at the consumer end of `idx` (own buffers only).
     pub(crate) fn pop(&mut self, idx: usize) -> Option<Flit> {
-        assert!(self.is_mine(idx), "pop on a foreign buffer");
-        // SAFETY: owner check above; `&mut self` for exclusivity.
-        unsafe { self.bufs.get_mut(idx) }.pop()
+        self.own_mut(idx).expect("pop on a foreign buffer").pop()
     }
 }
 
@@ -323,11 +323,9 @@ mod tests {
     #[should_panic(expected = "neither owns nor pushes")]
     fn foreign_buffer_access_panics() {
         let mut bufs: Vec<Fifo<Flit>> = (0..2).map(|_| Fifo::new(2)).collect();
-        let slots = DisjointSlots::new(&mut bufs);
         let view = ShardBufView {
-            bufs: &slots,
-            node_region: &[0, 1],
-            bufs_per_node: 1,
+            bufs: &mut bufs[..1],
+            base: 0,
             region: 0,
             mirror_of: &[NO_MIRROR; 2],
             mirrors: &mut [],

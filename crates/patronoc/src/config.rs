@@ -70,7 +70,8 @@ pub struct NocConfig {
     /// contiguous row bands (at most one per row) that step in parallel
     /// behind a per-cycle barrier; results are **bit-identical** for every
     /// thread count — the equivalence suite pins that — so this knob trades
-    /// wall clock only.
+    /// wall clock only. With [`full_sweep`](Self::full_sweep) set it is
+    /// ignored: the reference always runs serially.
     pub threads: usize,
 }
 
@@ -116,7 +117,10 @@ impl NocConfig {
     /// # Errors
     ///
     /// Returns a [`ConfigError`] for invalid AXI parameters, endpoint counts
-    /// exceeding the topology capacity, or out-of-range endpoint nodes.
+    /// exceeding the topology capacity, out-of-range endpoint nodes, or an
+    /// endpoint list that repeats a node or is out of ascending order (one
+    /// node hosts at most one master and one slave, and a region-sharded
+    /// run needs each region's endpoints contiguous).
     pub fn validate(&self) -> Result<(), ConfigError> {
         // Re-validate AXI parameters (AxiParams is always-valid by
         // construction, but this keeps the contract explicit).
@@ -127,7 +131,7 @@ impl NocConfig {
             self.axi.max_outstanding(),
         )?;
         let capacity = self.topology.num_nodes();
-        for set in [&self.masters, &self.slaves] {
+        for (set, name) in [(&self.masters, "masters"), (&self.slaves, "slaves")] {
             if set.is_empty() || set.len() > capacity {
                 return Err(ConfigError::EndpointCount {
                     requested: set.len(),
@@ -139,6 +143,9 @@ impl NocConfig {
                     requested: set.len(),
                     capacity,
                 });
+            }
+            if set.windows(2).any(|w| w[0] >= w[1]) {
+                return Err(ConfigError::EndpointOrder(name));
             }
         }
         for (value, name) in [
@@ -192,6 +199,26 @@ mod tests {
         let mut cfg = NocConfig::slim_4x4();
         cfg.slaves.clear();
         assert!(cfg.validate().is_err());
+    }
+
+    #[test]
+    fn rejects_duplicate_endpoints() {
+        let mut cfg = NocConfig::slim_4x4();
+        cfg.masters = vec![1, 1];
+        assert_eq!(cfg.validate(), Err(ConfigError::EndpointOrder("masters")));
+        let mut cfg = NocConfig::slim_4x4();
+        cfg.slaves = vec![0, 5, 5, 9];
+        assert_eq!(cfg.validate(), Err(ConfigError::EndpointOrder("slaves")));
+    }
+
+    #[test]
+    fn rejects_unordered_endpoints() {
+        let mut cfg = NocConfig::slim_4x4();
+        cfg.masters = vec![0, 2, 1];
+        assert_eq!(cfg.validate(), Err(ConfigError::EndpointOrder("masters")));
+        let mut cfg = NocConfig::slim_4x4();
+        cfg.slaves = vec![15, 0];
+        assert_eq!(cfg.validate(), Err(ConfigError::EndpointOrder("slaves")));
     }
 
     #[test]

@@ -30,14 +30,14 @@ use crate::config::NocConfig;
 use crate::endpoint::{DmaEngine, InflightTransfer, MemorySlave, ResolvedTransfer, WStream};
 use crate::link::{AxiLink, Edges};
 use crate::routing::{connectivity_tables, Connectivity, RoutingAlgorithm};
-use crate::shard::{self, ShardLinkView, Sharding};
+use crate::shard::{self, RegionCtx, RegionLinks, ShardLinkView, Sharding};
 use crate::snapcodec::corrupt;
 use crate::topology::{Dir, Topology, LOCAL, PORTS};
 use crate::xp::Xp;
 use axi::addr::Region;
 use axi::{AddressMap, ConfigError};
 use simkit::pool::{crew_scope, Crew};
-use simkit::region::{DisjointSlots, RegionMap};
+use simkit::region::{split_front, RegionMap};
 use simkit::sched::{should_desaturate, should_saturate, ActiveSet};
 use simkit::slab::SlabStats;
 use simkit::snap::{DecodeLimits, Decoder, Encoder, SnapError};
@@ -169,6 +169,19 @@ impl Sched {
     }
 }
 
+/// One region's share of a sharded cycle: its context, its own links and
+/// components, and its arenas, each a plain `&mut` cut off the engine's
+/// arrays.
+struct RegionPart<'a> {
+    ctx: &'a mut RegionCtx,
+    links: RegionLinks<'a>,
+    xps: &'a mut [Xp],
+    dmas: &'a mut [DmaEngine],
+    mems: &'a mut [MemorySlave],
+    txns: &'a mut Slab<InflightTransfer>,
+    wstreams: &'a mut Slab<WStream>,
+}
+
 /// A fully wired PATRONoC instance with its evaluation endpoints.
 #[derive(Debug, Clone)]
 pub struct NocSim {
@@ -192,7 +205,7 @@ pub struct NocSim {
     /// DMA index → region owning its arenas (all zeros when serial).
     dma_region: Vec<u32>,
     /// The region partition, present when `cfg.threads > 1` splits the
-    /// topology into more than one row band.
+    /// topology into more than one row band and `cfg.full_sweep` is off.
     sharding: Option<Sharding>,
     /// Reused buffer for per-cycle completion draining (no per-cycle
     /// `Vec`).
@@ -300,13 +313,14 @@ impl NocSim {
         // degenerates to one row (never shardable); meshes and tori shard
         // by rows — torus wrap links simply come out as boundary links,
         // since classification looks at actual link endpoints, not
-        // geometry. One region means the serial engine, sharding-free.
+        // geometry. One region means the serial engine, sharding-free, and
+        // so does the full-sweep reference at any thread count.
         let (cols, rows) = match topo {
             Topology::Mesh { cols, rows } | Topology::Torus { cols, rows } => (cols, rows),
             Topology::Ring { nodes } => (nodes, 1),
         };
         let region_map = RegionMap::new(cols, rows, cfg.threads.max(1));
-        let sharding = if cfg.threads > 1 && region_map.regions() > 1 {
+        let sharding = if cfg.threads > 1 && !cfg.full_sweep && region_map.regions() > 1 {
             let node_of = |c: Comp| match c {
                 Comp::Xp(i) => i,
                 Comp::Dma(i) => dmas[i].node(),
@@ -667,80 +681,69 @@ impl NocSim {
             dispatch_edges(self.sched.xp_ends[l], e, |x, s| self.xps[x].wake(s));
             for r in [rm, rs] {
                 let ctx = &mut sharding.ctxs[r as usize];
-                let mi = ctx.mirror_of[l] as usize;
+                let mi = ctx.mirror_index(l);
                 ctx.mirrors[mi].capture(&self.links[l]);
             }
         }
         self.poll_stimulus(source, |_| {});
-        // Parallel phase: worker r steps region r. Disjointness is the
-        // partition itself — every index each worker touches is owned by
-        // its region (debug-asserted; foreign link access panics in the
-        // view) — which is exactly the `DisjointSlots` contract.
+        // Parallel phase: worker r steps region r, through plain `&mut`
+        // slices of its own links, components and arenas, cut off the
+        // engine's arrays in region order.
         {
-            let links = DisjointSlots::new(&mut self.links);
-            let xps = DisjointSlots::new(&mut self.xps);
-            let dmas = DisjointSlots::new(&mut self.dmas);
-            let mems = DisjointSlots::new(&mut self.mems);
-            let txns = DisjointSlots::new(&mut self.txns);
-            let wstreams = DisjointSlots::new(&mut self.wstreams);
-            let ctxs = DisjointSlots::new(&mut sharding.ctxs);
-            let owner = &sharding.owner;
+            let mut links = sharding.segments(&mut self.links);
+            let (mut xps, mut dmas, mut mems) = (
+                self.xps.as_mut_slice(),
+                self.dmas.as_mut_slice(),
+                self.mems.as_mut_slice(),
+            );
+            let mut parts: Vec<RegionPart<'_>> = sharding
+                .ctxs
+                .iter_mut()
+                .zip(self.txns.iter_mut().zip(&mut self.wstreams))
+                .map(|(ctx, (txns, wstreams))| RegionPart {
+                    links: RegionLinks::split_front(&mut links, &ctx.links),
+                    xps: split_front(&mut xps, ctx.xps.len()),
+                    dmas: split_front(&mut dmas, ctx.dmas.len()),
+                    mems: split_front(&mut mems, ctx.mems.len()),
+                    txns,
+                    wstreams,
+                    ctx,
+                })
+                .collect();
             let xp_ends = &self.sched.xp_ends;
             let now = self.now;
-            crew.run(&|r| {
-                // SAFETY (all accesses below): worker r dereferences only
-                // region r's context, its interior links, and the
-                // components/arenas the partition assigned to region r.
-                let ctx = unsafe { ctxs.get_mut(r) };
+            crew.run_each(&mut parts, &|r, part: &mut RegionPart<'_>| {
+                let RegionPart {
+                    ctx,
+                    links,
+                    xps,
+                    dmas,
+                    mems,
+                    txns,
+                    wstreams,
+                } = part;
                 let first_xp = ctx.xps.start;
-                for &l in &ctx.links {
-                    // SAFETY: ctx.links holds only links owned by region r.
-                    let e = unsafe { links.get_mut(l) }.begin_cycle();
+                for &l in &ctx.interior {
+                    let e = links.get_mut(ctx.slots[l]).begin_cycle();
                     // An interior link's crosspoints are this region's.
                     dispatch_edges(xp_ends[l], e, |x, s| ctx.wakes[x - first_xp] |= s);
                 }
-                // SAFETY: the per-region arenas are indexed by r itself —
-                // one slot per region, each touched by its own worker only.
-                let region_txns = unsafe { txns.get_mut(r) };
-                // SAFETY: as above — slot r of a per-region arena.
-                let region_wstreams = unsafe { wstreams.get_mut(r) };
-                for &di in &ctx.dmas {
-                    // SAFETY: ctx.dmas holds only DMAs assigned to region r.
-                    let d = unsafe { dmas.get_mut(di) };
-                    let l = d.link();
-                    debug_assert_eq!(owner[l] as usize, r, "DMA link crosses regions");
-                    d.step(
-                        // SAFETY: l is this DMA's link, owned by region r
-                        // (asserted above).
-                        unsafe { links.get_mut(l) },
-                        now,
-                        region_txns,
-                        region_wstreams,
-                        &mut ctx.meter,
-                    );
+                for d in dmas.iter_mut() {
+                    let link = links.get_mut(ctx.slots[d.link()]);
+                    d.step(link, now, txns, wstreams, &mut ctx.meter);
                 }
-                for &mi in &ctx.mems {
-                    // SAFETY: ctx.mems holds only memories assigned to
-                    // region r.
-                    let m = unsafe { mems.get_mut(mi) };
-                    let l = m.link();
-                    debug_assert_eq!(owner[l] as usize, r, "memory link crosses regions");
-                    // SAFETY: l is this memory's link, owned by region r
-                    // (asserted above).
-                    m.step(unsafe { links.get_mut(l) }, now, &mut ctx.meter);
+                for m in mems.iter_mut() {
+                    let link = links.get_mut(ctx.slots[m.link()]);
+                    m.step(link, now, &mut ctx.meter);
                 }
                 let mut view = ShardLinkView {
-                    links: &links,
-                    owner,
+                    links,
                     region: r as u32,
-                    mirror_of: &ctx.mirror_of,
+                    slots: &ctx.slots,
                     mirrors: &mut ctx.mirrors,
                 };
-                for xi in ctx.xps.clone() {
-                    // SAFETY: ctx.xps is region r's crossbar range; foreign
-                    // links resolve to mirrors inside the view.
-                    let xp = unsafe { xps.get_mut(xi) };
-                    xp.wake(std::mem::take(&mut ctx.wakes[xi - first_xp]));
+                for (xp, wake) in xps.iter_mut().zip(&mut ctx.wakes) {
+                    xp.wake(std::mem::take(wake));
                     xp.step(&mut view);
                 }
             });
@@ -753,8 +756,8 @@ impl NocSim {
                 .ctxs
                 .get_disjoint_mut([rm as usize, rs as usize])
                 .expect("boundary regions are distinct");
-            let mi = cm.mirror_of[l] as usize;
-            let si = cs.mirror_of[l] as usize;
+            let mi = cm.mirror_index(l);
+            let si = cs.mirror_index(l);
             shard::commit_link(&mut self.links[l], &mut cm.mirrors[mi], &mut cs.mirrors[si]);
         }
         for ctx in &mut sharding.ctxs {
@@ -1677,6 +1680,28 @@ mod tests {
         let report = sim.run(&mut src, 50_000, 0);
         assert_eq!(report.stop_reason, StopReason::Drained);
         assert_eq!(report.cycles_skipped, 0, "the reference path never skips");
+    }
+
+    #[test]
+    fn full_sweep_is_the_serial_reference_at_any_thread_count() {
+        // The reference evaluates every stage of every XP, and never shards:
+        // a sharded cycle would evaluate only awake stages.
+        let run = |threads: usize| {
+            let mut cfg = NocConfig::slim_4x4();
+            cfg.full_sweep = true;
+            cfg.threads = threads;
+            let mut sim = NocSim::new(cfg).unwrap();
+            let report = sim.run(&mut uniform(0.3), 5_000, 0);
+            (report, sim.stage_evaluations())
+        };
+        let (serial, serial_evaluations) = run(1);
+        assert_eq!(serial_evaluations, [5_000 * 16; 5]);
+        for threads in [2, 4] {
+            let (report, evaluations) = run(threads);
+            assert_eq!(report.threads, 1, "{threads} threads");
+            assert_eq!(evaluations, serial_evaluations, "{threads} threads");
+            assert_eq!(report, serial, "{threads} threads");
+        }
     }
 
     #[test]

@@ -49,7 +49,7 @@
 //! | [`config`] | Table I parameter space |
 //! | [`engine`] | the cycle-accurate evaluation testbench (§IV) |
 
-#![deny(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 
 pub mod config;
 pub mod endpoint;

@@ -17,10 +17,16 @@
 //!    interior links, collecting their edges in [`RegionCtx::wakes`], and
 //!    steps its DMAs, memory slaves and crosspoints, handing each XP its
 //!    collected wakes first.
-//!    Components reach links through [`ShardLinkView`]: interior links
-//!    resolve to the real [`AxiLink`], boundary links to the region's
-//!    mirror, which grants exactly the pushes and pops the real channel's
-//!    cycle snapshot would.
+//!    Each worker holds plain `&mut` slices of its own components and
+//!    links, cut off the engine's arrays with `split_at_mut`: the link
+//!    array is three node-ordered segments (XP↔XP links by master-side
+//!    node, then DMA links, then memory links), so a region owns one
+//!    contiguous range of each ([`RegionLinks`]).
+//!    Components reach links through [`ShardLinkView`], which looks each
+//!    link up in the region's [`Slot`] table: interior links resolve to
+//!    the real [`AxiLink`], boundary links to the region's mirror, which
+//!    grants exactly the pushes and pops the real channel's cycle snapshot
+//!    would.
 //! 3. **Serial commit** — replay every mirror's pops and pushes onto the
 //!    real boundary links in ascending link order, and fold the per-region
 //!    throughput meters into the run meter.
@@ -36,16 +42,26 @@
 //! bit across engines, traffic patterns, loads and thread counts.
 
 use crate::link::{AxiLink, Channel, DataBeat, LinkView, ReqBeat, RespBeat};
-use simkit::region::{DisjointSlots, RegionMap};
+use simkit::region::{split_front, RegionMap};
 use simkit::ThroughputMeter;
 use std::fmt::Debug;
 use std::ops::Range;
 
-/// Sentinel owner for links that cross a region boundary.
-pub(crate) const BOUNDARY: u32 = u32::MAX;
-
-/// Sentinel for "this region holds no mirror of that link".
-pub(crate) const NO_MIRROR: u32 = u32::MAX;
+/// Where one region's worker finds a link during the parallel phase.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Slot {
+    /// An interior XP↔XP link: its offset in the region's XP↔XP links
+    /// ([`RegionLinks`]).
+    Xp(u32),
+    /// An interior DMA link: its offset in the region's DMA links.
+    Dma(u32),
+    /// An interior memory link: its offset in the region's memory links.
+    Mem(u32),
+    /// A boundary link the region borders: the index of its mirror.
+    Mirror(u32),
+    /// A link the region neither owns nor borders.
+    Foreign,
+}
 
 /// One channel's boundary mirror: the consumer-side snapshot plus the
 /// producer-side credit of the real [`Channel`], captured at the cycle
@@ -206,16 +222,22 @@ pub(crate) fn commit_link(link: &mut AxiLink, master: &mut LinkMirror, slave: &m
 /// Everything one region's worker needs for its slice of the cycle.
 #[derive(Debug, Clone)]
 pub(crate) struct RegionCtx {
-    /// Interior links owned by this region (ascending).
-    pub(crate) links: Vec<usize>,
-    /// DMA engines hosted on this region's nodes (ascending).
-    pub(crate) dmas: Vec<usize>,
-    /// Memory slaves hosted on this region's nodes (ascending).
-    pub(crate) mems: Vec<usize>,
+    /// Interior links owned by this region (ascending): the links its
+    /// worker begins.
+    pub(crate) interior: Vec<usize>,
+    /// The region's range of each link segment (XP↔XP, DMA, memory), in
+    /// global link indices. The XP↔XP range also holds the boundary links
+    /// whose master side is in this region; the worker reaches those only
+    /// through its mirrors.
+    pub(crate) links: [Range<usize>; 3],
+    /// DMA engines hosted on this region's nodes.
+    pub(crate) dmas: Range<usize>,
+    /// Memory slaves hosted on this region's nodes.
+    pub(crate) mems: Range<usize>,
     /// The region's node range (crosspoint index == node index).
     pub(crate) xps: Range<usize>,
-    /// Per global link: index into `mirrors`, or [`NO_MIRROR`].
-    pub(crate) mirror_of: Vec<u32>,
+    /// Per global link: where this region's worker finds it.
+    pub(crate) slots: Vec<Slot>,
     /// This region's mirrors of its adjacent boundary links.
     pub(crate) mirrors: Vec<LinkMirror>,
     /// Shard throughput meter, absorbed into the run meter at commit (the
@@ -228,22 +250,72 @@ pub(crate) struct RegionCtx {
     pub(crate) wakes: Vec<u8>,
 }
 
+impl RegionCtx {
+    /// The index of this region's mirror of boundary link `link`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the region does not border `link`.
+    pub(crate) fn mirror_index(&self, link: usize) -> usize {
+        match self.slots[link] {
+            Slot::Mirror(m) => m as usize,
+            other => panic!("link {link} is not a bordered boundary link ({other:?})"),
+        }
+    }
+}
+
 /// The full region partition of one simulation instance.
 #[derive(Debug, Clone)]
 pub(crate) struct Sharding {
-    /// Per link: owning region, or [`BOUNDARY`].
-    pub(crate) owner: Vec<u32>,
     /// Boundary links as `(link, master_region, slave_region)`, ascending
     /// by link index — the deterministic commit order.
     pub(crate) boundary: Vec<(usize, u32, u32)>,
+    /// The link array's three segments: XP↔XP links, DMA links, memory
+    /// links.
+    pub(crate) segments: [Range<usize>; 3],
     /// One context per region, in region order.
     pub(crate) ctxs: Vec<RegionCtx>,
+}
+
+/// Splits `0..homes.len()` into one contiguous range per region, given
+/// each item's region in item order. The ranges tile the items in region
+/// order, so cutting them off an array's front, region by region, hands
+/// each item to exactly one region.
+///
+/// # Panics
+///
+/// Panics if the items are not in ascending region order: a region's
+/// items would then not be contiguous.
+fn ranges_by_region(homes: impl Iterator<Item = usize>, regions: usize) -> Vec<Range<usize>> {
+    let mut counts = vec![0; regions];
+    let mut last = 0;
+    for home in homes {
+        assert!(home >= last, "items are not in ascending region order");
+        last = home;
+        counts[home] += 1;
+    }
+    let mut end = 0;
+    counts
+        .into_iter()
+        .map(|count| {
+            end += count;
+            end - count..end
+        })
+        .collect()
 }
 
 impl Sharding {
     /// Partitions an instance: `link_nodes` gives each link's
     /// `(master-side node, slave-side node)`, `dma_nodes`/`mem_nodes` the
-    /// host node of each endpoint component.
+    /// host node of each endpoint component. The links must come as the
+    /// engine builds them: XP↔XP links in master-side node order, then one
+    /// link per DMA in `dma_nodes` order, then one per memory slave in
+    /// `mem_nodes` order, and both endpoint lists ascending by node.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the links or endpoints are not laid out that way, since a
+    /// region's components would then not be contiguous.
     pub(crate) fn new(
         map: &RegionMap,
         link_nodes: &[(usize, usize)],
@@ -255,104 +327,202 @@ impl Sharding {
             regions > 1,
             "sharding a single region is just the serial engine"
         );
+        let mem_start = link_nodes.len() - mem_nodes.len();
+        let dma_start = mem_start - dma_nodes.len();
+        let segments = [
+            0..dma_start,
+            dma_start..mem_start,
+            mem_start..link_nodes.len(),
+        ];
+        for (seg, nodes) in [(&segments[1], dma_nodes), (&segments[2], mem_nodes)] {
+            assert!(
+                link_nodes[seg.clone()]
+                    .iter()
+                    .zip(nodes)
+                    .all(|(&(m, s), &n)| m == n && s == n),
+                "endpoint links out of endpoint order"
+            );
+        }
+        let region_of = |n: usize| map.region_of(n);
+        let xp_links = ranges_by_region(
+            link_nodes[..dma_start].iter().map(|&(m, _)| region_of(m)),
+            regions,
+        );
+        let dmas = ranges_by_region(dma_nodes.iter().map(|&n| region_of(n)), regions);
+        let mems = ranges_by_region(mem_nodes.iter().map(|&n| region_of(n)), regions);
         let mut ctxs: Vec<RegionCtx> = (0..regions)
             .map(|r| RegionCtx {
-                links: Vec::new(),
-                dmas: Vec::new(),
-                mems: Vec::new(),
+                interior: Vec::new(),
+                links: [
+                    xp_links[r].clone(),
+                    dma_start + dmas[r].start..dma_start + dmas[r].end,
+                    mem_start + mems[r].start..mem_start + mems[r].end,
+                ],
+                dmas: dmas[r].clone(),
+                mems: mems[r].clone(),
                 xps: map.nodes(r),
-                mirror_of: vec![NO_MIRROR; link_nodes.len()],
+                slots: vec![Slot::Foreign; link_nodes.len()],
                 mirrors: Vec::new(),
                 meter: ThroughputMeter::new(0),
                 wakes: vec![0; map.nodes(r).len()],
             })
             .collect();
-        let mut owner = Vec::with_capacity(link_nodes.len());
+        let offset = |i: usize| u32::try_from(i).expect("link count fits u32");
         let mut boundary = Vec::new();
         for (l, &(mn, sn)) in link_nodes.iter().enumerate() {
             let rm = map.region_of(mn) as u32;
             let rs = map.region_of(sn) as u32;
             if rm == rs {
-                owner.push(rm);
-                ctxs[rm as usize].links.push(l);
+                let c = &mut ctxs[rm as usize];
+                c.interior.push(l);
+                c.slots[l] = if l < dma_start {
+                    Slot::Xp(offset(l - c.links[0].start))
+                } else if l < mem_start {
+                    Slot::Dma(offset(l - c.links[1].start))
+                } else {
+                    Slot::Mem(offset(l - c.links[2].start))
+                };
             } else {
-                owner.push(BOUNDARY);
                 boundary.push((l, rm, rs));
                 for r in [rm, rs] {
                     let c = &mut ctxs[r as usize];
-                    c.mirror_of[l] = u32::try_from(c.mirrors.len()).expect("mirror count");
+                    c.slots[l] = Slot::Mirror(offset(c.mirrors.len()));
                     c.mirrors.push(LinkMirror::default());
                 }
             }
         }
-        for (i, &n) in dma_nodes.iter().enumerate() {
-            ctxs[map.region_of(n)].dmas.push(i);
-        }
-        for (i, &n) in mem_nodes.iter().enumerate() {
-            ctxs[map.region_of(n)].mems.push(i);
-        }
         Self {
-            owner,
             boundary,
+            segments,
             ctxs,
         }
     }
+
+    /// The link array cut into its three segments, ready for
+    /// [`RegionLinks::split_front`].
+    pub(crate) fn segments<'a>(&self, links: &'a mut [AxiLink]) -> [&'a mut [AxiLink]; 3] {
+        let (xp, rest) = links.split_at_mut(self.segments[1].start);
+        let (dma, mem) = rest.split_at_mut(self.segments[1].len());
+        [xp, dma, mem]
+    }
+}
+
+/// One region's own links: its contiguous range of each link segment.
+pub(crate) struct RegionLinks<'a> {
+    xp: &'a mut [AxiLink],
+    dma: &'a mut [AxiLink],
+    mem: &'a mut [AxiLink],
+}
+
+impl<'a> RegionLinks<'a> {
+    /// Cuts the region's `ranges` off the fronts of `rest`, the parts of
+    /// the three segments no earlier region took. Called once per region,
+    /// in region order.
+    pub(crate) fn split_front(
+        rest: &mut [&'a mut [AxiLink]; 3],
+        ranges: &[Range<usize>; 3],
+    ) -> Self {
+        let [xp, dma, mem] = rest;
+        Self {
+            xp: split_front(xp, ranges[0].len()),
+            dma: split_front(dma, ranges[1].len()),
+            mem: split_front(mem, ranges[2].len()),
+        }
+    }
+
+    /// The region's own link at `slot`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slot` is not one of the region's own links.
+    #[inline]
+    pub(crate) fn get(&self, slot: Slot) -> &AxiLink {
+        match slot {
+            Slot::Xp(i) => &self.xp[i as usize],
+            Slot::Dma(i) => &self.dma[i as usize],
+            Slot::Mem(i) => &self.mem[i as usize],
+            Slot::Mirror(_) | Slot::Foreign => not_own(slot),
+        }
+    }
+
+    /// The region's own link at `slot`, mutably.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slot` is not one of the region's own links.
+    #[inline]
+    pub(crate) fn get_mut(&mut self, slot: Slot) -> &mut AxiLink {
+        match slot {
+            Slot::Xp(i) => &mut self.xp[i as usize],
+            Slot::Dma(i) => &mut self.dma[i as usize],
+            Slot::Mem(i) => &mut self.mem[i as usize],
+            Slot::Mirror(_) | Slot::Foreign => not_own(slot),
+        }
+    }
+}
+
+/// Out of line, so the link lookups on the crosspoints' hot path inline.
+#[cold]
+#[inline(never)]
+fn not_own(slot: Slot) -> ! {
+    panic!("{slot:?} is not one of the region's own links")
 }
 
 /// One region's view of the link array during the parallel phase: interior
-/// links resolve to the real [`AxiLink`] (through [`DisjointSlots`] — only
-/// this region's worker touches them), boundary links to the region's
-/// [`LinkMirror`]. Touching another region's interior link panics, which
-/// turns any partitioning bug into a loud failure instead of a data race.
-pub(crate) struct ShardLinkView<'a> {
-    pub(crate) links: &'a DisjointSlots<'a, AxiLink>,
-    pub(crate) owner: &'a [u32],
+/// links resolve to the real [`AxiLink`] in the region's own
+/// [`RegionLinks`], boundary links to the region's [`LinkMirror`].
+/// Touching another region's interior link panics, which turns any
+/// partitioning bug into a loud failure.
+pub(crate) struct ShardLinkView<'v, 'a> {
+    pub(crate) links: &'v mut RegionLinks<'a>,
     pub(crate) region: u32,
-    pub(crate) mirror_of: &'a [u32],
-    pub(crate) mirrors: &'a mut [LinkMirror],
+    pub(crate) slots: &'v [Slot],
+    pub(crate) mirrors: &'v mut [LinkMirror],
 }
 
-impl ShardLinkView<'_> {
+impl ShardLinkView<'_, '_> {
+    #[inline]
     fn is_mine(&self, link: usize) -> bool {
-        self.owner[link] == self.region
+        matches!(self.slots[link], Slot::Xp(_) | Slot::Dma(_) | Slot::Mem(_))
     }
 
+    #[inline]
     fn real(&self, link: usize) -> &AxiLink {
-        debug_assert!(self.is_mine(link));
-        // SAFETY: `owner[link] == region` and each crew worker steps
-        // exactly one region, so no other thread touches this slot.
-        unsafe { self.links.get(link) }
+        self.links.get(self.slots[link])
     }
 
+    #[inline]
     fn real_mut(&mut self, link: usize) -> &mut AxiLink {
-        debug_assert!(self.is_mine(link));
-        // SAFETY: as `real`, and `&mut self` excludes aliases from this
-        // worker for the borrow's duration.
-        unsafe { self.links.get_mut(link) }
+        self.links.get_mut(self.slots[link])
     }
 
+    #[inline]
+    fn mirror_index(&self, link: usize) -> usize {
+        match self.slots[link] {
+            Slot::Mirror(m) => m as usize,
+            _ => foreign(self.region, link),
+        }
+    }
+
+    #[inline]
     fn mirror(&self, link: usize) -> &LinkMirror {
-        let m = self.mirror_of[link];
-        assert!(
-            m != NO_MIRROR,
-            "region {} touched link {link} it neither owns nor borders",
-            self.region
-        );
-        &self.mirrors[m as usize]
+        &self.mirrors[self.mirror_index(link)]
     }
 
+    #[inline]
     fn mirror_mut(&mut self, link: usize) -> &mut LinkMirror {
-        let m = self.mirror_of[link];
-        assert!(
-            m != NO_MIRROR,
-            "region {} touched link {link} it neither owns nor borders",
-            self.region
-        );
-        &mut self.mirrors[m as usize]
+        let m = self.mirror_index(link);
+        &mut self.mirrors[m]
     }
 }
 
-impl LinkView for ShardLinkView<'_> {
+#[cold]
+#[inline(never)]
+fn foreign(region: u32, link: usize) -> ! {
+    panic!("region {region} touched link {link} it neither owns nor borders")
+}
+
+impl LinkView for ShardLinkView<'_, '_> {
     fn aw_can_push(&self, link: usize) -> bool {
         if self.is_mine(link) {
             self.real(link).aw.can_push()
@@ -574,25 +744,77 @@ mod tests {
     fn partition_classifies_links_and_endpoints() {
         // 2×2 mesh, 2 regions (one row each). Node layout: 0 1 / 2 3.
         let map = RegionMap::new(2, 2, 2);
-        // Links: 0↔1 interior to region 0, 2↔3 interior to region 1,
-        // 0↔2 crossing; plus a DMA link on node 0 and a mem link on node 3.
-        let link_nodes = [(0, 1), (2, 3), (0, 2), (0, 0), (3, 3)];
+        // XP links by master-side node: 0→1 interior to region 0, 0→2
+        // crossing, 2→3 interior to region 1; then DMA links on nodes 0
+        // and 3, then memory links on nodes 0 and 3.
+        let link_nodes = [(0, 1), (0, 2), (2, 3), (0, 0), (3, 3), (0, 0), (3, 3)];
         let s = Sharding::new(&map, &link_nodes, &[0, 3], &[0, 3]);
-        assert_eq!(s.owner, vec![0, 1, BOUNDARY, 0, 1]);
-        assert_eq!(s.boundary, vec![(2, 0, 1)]);
-        assert_eq!(s.ctxs[0].links, vec![0, 3]);
-        assert_eq!(s.ctxs[1].links, vec![1, 4]);
-        assert_eq!(s.ctxs[0].dmas, vec![0]);
-        assert_eq!(s.ctxs[1].dmas, vec![1]);
-        assert_eq!(s.ctxs[0].mems, vec![0]);
-        assert_eq!(s.ctxs[1].mems, vec![1]);
+        assert_eq!(s.boundary, vec![(1, 0, 1)]);
+        assert_eq!(s.segments, [0..3, 3..5, 5..7]);
+        assert_eq!(s.ctxs[0].interior, vec![0, 3, 5]);
+        assert_eq!(s.ctxs[1].interior, vec![2, 4, 6]);
+        assert_eq!(s.ctxs[0].links, [0..2, 3..4, 5..6]);
+        assert_eq!(s.ctxs[1].links, [2..3, 4..5, 6..7]);
+        assert_eq!(s.ctxs[0].dmas, 0..1);
+        assert_eq!(s.ctxs[1].dmas, 1..2);
+        assert_eq!(s.ctxs[0].mems, 0..1);
+        assert_eq!(s.ctxs[1].mems, 1..2);
         assert_eq!(s.ctxs[0].xps, 0..2);
         assert_eq!(s.ctxs[1].xps, 2..4);
+        use Slot::{Dma, Foreign, Mem, Mirror, Xp};
+        assert_eq!(
+            s.ctxs[0].slots,
+            [Xp(0), Mirror(0), Foreign, Dma(0), Foreign, Mem(0), Foreign]
+        );
+        assert_eq!(
+            s.ctxs[1].slots,
+            [Foreign, Mirror(0), Xp(0), Foreign, Dma(0), Foreign, Mem(0)]
+        );
         // Both adjacent regions hold a mirror of the boundary link.
         assert_eq!(s.ctxs[0].mirrors.len(), 1);
         assert_eq!(s.ctxs[1].mirrors.len(), 1);
-        assert_eq!(s.ctxs[0].mirror_of[2], 0);
-        assert_eq!(s.ctxs[1].mirror_of[2], 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "ascending region order")]
+    fn endpoints_out_of_region_order_are_refused() {
+        let map = RegionMap::new(2, 2, 2);
+        let link_nodes = [(0, 1), (2, 3), (3, 3), (0, 0)];
+        let _ = Sharding::new(&map, &link_nodes, &[3, 0], &[]);
+    }
+
+    /// Cuts `links` into per-region link parts, as the engine does each
+    /// sharded cycle.
+    fn region_links<'a>(s: &Sharding, links: &'a mut [AxiLink]) -> Vec<RegionLinks<'a>> {
+        let mut rest = s.segments(links);
+        s.ctxs
+            .iter()
+            .map(|ctx| RegionLinks::split_front(&mut rest, &ctx.links))
+            .collect()
+    }
+
+    #[test]
+    fn region_links_resolve_global_indices() {
+        let map = RegionMap::new(2, 2, 2);
+        let link_nodes = [(0, 1), (0, 2), (2, 3), (0, 0), (3, 3), (0, 0), (3, 3)];
+        let s = Sharding::new(&map, &link_nodes, &[0, 3], &[0, 3]);
+        let mut links: Vec<AxiLink> = (0..7).map(|_| AxiLink::new(1)).collect();
+        let mut parts = region_links(&s, &mut links);
+        // Each region stamps its interior links through its part, by
+        // slot; the stamps land on exactly those links.
+        for (part, ctx) in parts.iter_mut().zip(&s.ctxs) {
+            for &l in &ctx.interior {
+                let link = part.get_mut(ctx.slots[l]);
+                link.w.begin_cycle();
+                link.w.push(data(l as u32));
+            }
+        }
+        drop(parts);
+        let stamped: Vec<bool> = links.iter().map(|l| l.w.occupancy() > 0).collect();
+        let boundary = s.boundary.iter().map(|&(l, ..)| l).collect::<Vec<_>>();
+        for (l, stamped) in stamped.into_iter().enumerate() {
+            assert_eq!(stamped, !boundary.contains(&l), "link {l}");
+        }
     }
 
     #[test]
@@ -602,13 +824,12 @@ mod tests {
         let link_nodes = [(0, 1), (2, 3)];
         let mut s = Sharding::new(&map, &link_nodes, &[], &[]);
         let mut links = vec![AxiLink::new(1), AxiLink::new(1)];
-        let slots = DisjointSlots::new(&mut links);
+        let mut parts = region_links(&s, &mut links);
         let ctx = &mut s.ctxs[0];
         let view = ShardLinkView {
-            links: &slots,
-            owner: &s.owner,
+            links: &mut parts[0],
             region: 0,
-            mirror_of: &ctx.mirror_of,
+            slots: &ctx.slots,
             mirrors: &mut ctx.mirrors,
         };
         // Link 1 is interior to region 1: region 0 must not see it.

@@ -135,7 +135,8 @@ pub struct Scenario {
     /// Worker threads for region-sharded execution of the one simulation
     /// this scenario names (1 = serial). Results are bit-identical at any
     /// value — the knob trades wall clock only — so it stays out of the
-    /// derived per-point seeds.
+    /// derived per-point seeds. A [`full_sweep`](Self::full_sweep) run
+    /// ignores it and steps serially.
     pub threads: usize,
     /// Step every component every cycle, never skipping idle time (default
     /// off): the reference the activity-driven, time-skipping engines are
@@ -288,7 +289,8 @@ impl Scenario {
     }
 
     /// Sets the worker threads for region-sharded execution (1 = serial;
-    /// results are bit-identical at any value).
+    /// results are bit-identical at any value; a full-sweep run ignores
+    /// it).
     #[must_use]
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads;

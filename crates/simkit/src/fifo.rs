@@ -265,95 +265,6 @@ impl<T> Fifo<T> {
     }
 }
 
-/// A full-throughput register slice: a depth-2 [`Fifo`].
-///
-/// This is the model of the paper's optional "cut" inserted on AXI channels
-/// to close timing (§II). One slice adds one cycle of latency while
-/// sustaining one beat per cycle.
-///
-/// # Examples
-///
-/// ```
-/// use simkit::RegisterSlice;
-///
-/// let mut s: RegisterSlice<u8> = RegisterSlice::new();
-/// s.begin_cycle();
-/// s.push(1).unwrap();
-/// s.begin_cycle();
-/// assert_eq!(s.pop(), Some(1)); // exactly one cycle later
-/// ```
-#[derive(Debug, Clone)]
-pub struct RegisterSlice<T>(Fifo<T>);
-
-impl<T> RegisterSlice<T> {
-    /// Creates a new full-throughput register slice.
-    #[must_use]
-    pub fn new() -> Self {
-        Self(Fifo::new(2))
-    }
-
-    /// See [`Fifo::begin_cycle`].
-    pub fn begin_cycle(&mut self) {
-        self.0.begin_cycle();
-    }
-
-    /// See [`Fifo::can_push`].
-    #[must_use]
-    pub fn can_push(&self) -> bool {
-        self.0.can_push()
-    }
-
-    /// See [`Fifo::push`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PushError`] if the slice is full this cycle.
-    pub fn push(&mut self, value: T) -> Result<(), PushError<T>> {
-        self.0.push(value)
-    }
-
-    /// See [`Fifo::can_pop`].
-    #[must_use]
-    pub fn can_pop(&self) -> bool {
-        self.0.can_pop()
-    }
-
-    /// See [`Fifo::peek`].
-    #[must_use]
-    pub fn peek(&self) -> Option<&T> {
-        self.0.peek()
-    }
-
-    /// See [`Fifo::pop`].
-    pub fn pop(&mut self) -> Option<T> {
-        self.0.pop()
-    }
-
-    /// Raw occupancy.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.0.len()
-    }
-
-    /// Whether the slice is empty (raw view).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
-    }
-
-    /// See [`Fifo::is_idle`].
-    #[must_use]
-    pub fn is_idle(&self) -> bool {
-        self.0.is_idle()
-    }
-}
-
-impl<T> Default for RegisterSlice<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -557,15 +468,5 @@ mod tests {
             Fifo::<u32>::decode_with(&mut d, 2, |d| d.u32()),
             Err(SnapError::Corrupt(_))
         ));
-    }
-
-    #[test]
-    fn register_slice_one_cycle_latency() {
-        let mut s: RegisterSlice<u32> = RegisterSlice::new();
-        s.begin_cycle();
-        s.push(42).unwrap();
-        assert_eq!(s.pop(), None);
-        s.begin_cycle();
-        assert_eq!(s.pop(), Some(42));
     }
 }

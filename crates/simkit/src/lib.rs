@@ -9,7 +9,6 @@
 //!   become available to the producer only in the next cycle. With a depth of
 //!   two this behaves exactly like a full-throughput AXI register slice
 //!   ("cut" in the paper's Table I).
-//! * [`RegisterSlice`] — a depth-2 [`Fifo`] newtype for readability.
 //! * [`RoundRobinArbiter`] — the work-conserving round-robin arbiter used at
 //!   every crossbar output port.
 //! * [`Rng`] — a deterministic xoshiro256** PRNG so every simulation is
@@ -33,9 +32,9 @@
 //!   results, and [`pool::crew_scope`] keeps a fixed worker crew alive for
 //!   the per-cycle fork/join of a region-sharded simulation.
 //! * [`region`] — the deterministic mesh partitioner ([`region::RegionMap`])
-//!   and boundary-exchange outboxes ([`region::RegionSet`]) behind
-//!   region-sharded (multi-threaded, bit-identical) single-simulation
-//!   execution.
+//!   and [`region::split_front`], which cuts each region's `&mut` part off
+//!   a component array, behind region-sharded (multi-threaded,
+//!   bit-identical) single-simulation execution.
 //! * [`report`] — the unified [`SimReport`] / [`StopReason`] every NoC
 //!   engine returns, so comparison harnesses handle one result shape.
 //! * [`json`] — a minimal hand-rolled JSON writer for machine-readable
@@ -83,10 +82,10 @@ pub mod stats;
 pub mod watchdog;
 
 pub use arbiter::RoundRobinArbiter;
-pub use fifo::{Fifo, PushError, RegisterSlice};
+pub use fifo::{Fifo, PushError};
 pub use horizon::Horizon;
 pub use json::Json;
-pub use region::{DisjointSlots, RegionMap, RegionSet};
+pub use region::RegionMap;
 pub use report::{SimReport, StopReason};
 pub use rng::Rng;
 pub use sched::ActiveSet;

@@ -3,13 +3,14 @@
 //! Conservative parallel discrete-event simulation needs a *lookahead*: a
 //! lower bound on how long an event in one partition takes to influence
 //! another. In this codebase every inter-router connection is cut by at
-//! least one register slice ([`crate::RegisterSlice`]), so nothing crosses
-//! a link in less than one cycle — one cycle of lookahead, which is exactly
-//! the granularity of the engines' `step()` loop. A cycle can therefore be
-//! computed *in parallel per region* as long as (a) every component reads
-//! only start-of-cycle snapshots (the existing two-phase [`crate::Fifo`]
-//! discipline) and (b) pushes/pops on channels that cross a region boundary
-//! are buffered and replayed at a barrier in a fixed order.
+//! least one register slice (a two-phase [`crate::Fifo`]), so nothing
+//! crosses a link in less than one cycle — one cycle of lookahead, which
+//! is exactly the granularity of the engines' `step()` loop. A cycle can
+//! therefore be computed *in parallel per region* as long as (a) every
+//! component reads only start-of-cycle snapshots (the two-phase
+//! [`crate::Fifo`] discipline) and (b) pushes/pops on channels that cross
+//! a region boundary are buffered and replayed at a barrier in a fixed
+//! order.
 //!
 //! [`RegionMap`] is the partitioner: it slices a `cols`×`rows` mesh into
 //! horizontal bands of whole rows (contiguous router rectangles). Row-major
@@ -19,11 +20,11 @@
 //! only on `(cols, rows, regions)` — never on thread timing — so a sharded
 //! run is a pure function of its inputs, like the serial engine.
 //!
-//! [`RegionSet`] is the boundary-exchange buffer: one `Vec<T>` outbox per
-//! region, drained in fixed region order at the cycle barrier. Engines push
-//! whatever crosses a boundary (deliveries, staged beats, wake-ups) into
-//! their region's outbox during the parallel phase and apply everything
-//! serially in the commit phase.
+//! [`split_front`] is how an engine hands each region's worker its part:
+//! called once per region, in region order, it cuts the next contiguous
+//! range off an array with `split_at_mut`, so every worker holds a plain
+//! `&mut` to its own components and the borrow checker, not a runtime
+//! argument, proves the parts disjoint.
 //!
 //! # Examples
 //!
@@ -38,7 +39,6 @@
 //! assert_eq!(map.region_of(5), 0);
 //! ```
 
-use std::marker::PhantomData;
 use std::ops::Range;
 
 /// A deterministic partition of a `cols`×`rows` mesh into horizontal bands
@@ -139,294 +139,38 @@ impl RegionMap {
     }
 }
 
-/// Per-region outboxes drained in fixed region order at the cycle barrier.
+/// Splits the first `len` elements off the front of `rest` and returns
+/// them, leaving the remainder in `rest`. Called once per region in region
+/// order with each region's share of an array, it yields the regions'
+/// disjoint `&mut` parts — the safe `split_at_mut` form of handing every
+/// worker its own components.
 ///
-/// During the parallel phase each region appends to its own outbox (no
-/// sharing); the commit phase calls [`drain`](Self::drain), which visits
-/// the entries region 0 first — with contiguous row-band regions this is
-/// ascending node order, i.e. the exact order the serial engine would have
-/// produced the same events in.
-#[derive(Debug, Clone)]
-pub struct RegionSet<T> {
-    outboxes: Vec<Vec<T>>,
-}
-
-impl<T> RegionSet<T> {
-    /// Creates one empty outbox per region.
-    #[must_use]
-    pub fn new(regions: usize) -> Self {
-        Self {
-            outboxes: (0..regions).map(|_| Vec::new()).collect(),
-        }
-    }
-
-    /// Number of regions.
-    #[must_use]
-    pub fn regions(&self) -> usize {
-        self.outboxes.len()
-    }
-
-    /// Exclusive access to region `r`'s outbox (the parallel phase hands
-    /// each worker a disjoint `&mut` via its region index).
-    pub fn outbox(&mut self, r: usize) -> &mut Vec<T> {
-        &mut self.outboxes[r]
-    }
-
-    /// Splits into one `&mut Vec<T>` per region, for handing each worker
-    /// its own outbox simultaneously.
-    pub fn outboxes(&mut self) -> &mut [Vec<T>] {
-        &mut self.outboxes
-    }
-
-    /// Drains every outbox in region order, applying `f` to each entry.
-    pub fn drain(&mut self, mut f: impl FnMut(T)) {
-        for outbox in &mut self.outboxes {
-            for item in outbox.drain(..) {
-                f(item);
-            }
-        }
-    }
-
-    /// Whether every outbox is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.outboxes.iter().all(Vec::is_empty)
-    }
-}
-
-/// A shared view of a mutable slice whose elements are accessed at
-/// *disjoint indices* by concurrent workers — the one `unsafe` primitive
-/// behind the engines' parallel phase.
+/// # Panics
 ///
-/// Rust's borrow checker cannot see that region 0 only ever touches region
-/// 0's links, components and arenas while region 1 touches region 1's, so
-/// the sharded engines prove that disjointness themselves (every index is
-/// owned by exactly one region of the [`RegionMap`] partition, and each
-/// crew worker steps exactly one region) and use this wrapper to hand every
-/// worker the same slice. All the unsafety is concentrated in
-/// [`get`](Self::get)/[`get_mut`](Self::get_mut), whose contract is exactly
-/// that ownership argument.
-/// With the `shardcheck` feature enabled, every wrapper additionally
-/// carries a claim table that records, per slot, which worker touched it —
-/// and panics the moment two workers overlap (a poor-man's race detector
-/// for exactly the contract the `unsafe` accessors assume). Because the
-/// engines rebuild their wrappers every sharded cycle, claims are scoped to
-/// one cycle: a slot legitimately migrating between regions across cycles
-/// never trips the check, while any same-cycle overlap or read/write mix
-/// from different workers does.
-pub struct DisjointSlots<'a, T> {
-    ptr: *mut T,
-    len: usize,
-    #[cfg(feature = "shardcheck")]
-    claims: shardcheck::Claims,
-    _life: PhantomData<&'a mut [T]>,
-}
-
-// SAFETY: the wrapper only hands out references through the `unsafe`
-// accessors below, whose contract (disjoint indices across threads) is what
-// makes concurrent use sound; `T: Send` because elements are mutated from
-// whichever worker thread owns their index.
-unsafe impl<T: Send> Sync for DisjointSlots<'_, T> {}
-// SAFETY: same argument as `Sync` above — the wrapper is a pointer+len pair
-// whose element access is governed by the accessors' disjointness contract,
-// and `T: Send` lets elements be mutated from the claiming worker's thread.
-unsafe impl<T: Send> Send for DisjointSlots<'_, T> {}
-
-impl<'a, T> DisjointSlots<'a, T> {
-    /// Wraps `slice`, borrowing it exclusively for the wrapper's lifetime
-    /// (so no safe alias can exist while workers hold raw access).
-    pub fn new(slice: &'a mut [T]) -> Self {
-        Self {
-            ptr: slice.as_mut_ptr(),
-            len: slice.len(),
-            #[cfg(feature = "shardcheck")]
-            claims: shardcheck::Claims::new(slice.len()),
-            _life: PhantomData,
-        }
-    }
-
-    /// Number of elements in the wrapped slice.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the wrapped slice is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// A shared reference to element `i`.
-    ///
-    /// # Safety
-    ///
-    /// No other thread may hold a `&mut` to index `i` for the lifetime of
-    /// the returned reference (the region-ownership argument: only `i`'s
-    /// owning region touches it, and each worker steps one region).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of bounds.
-    #[must_use]
-    pub unsafe fn get(&self, i: usize) -> &T {
-        assert!(i < self.len, "index {i} out of bounds (len {})", self.len);
-        #[cfg(feature = "shardcheck")]
-        self.claims.record_shared(i);
-        // SAFETY: in-bounds (asserted); aliasing discharged by the caller.
-        unsafe { &*self.ptr.add(i) }
-    }
-
-    /// An exclusive reference to element `i`.
-    ///
-    /// # Safety
-    ///
-    /// As [`get`](Self::get), and additionally no other reference to index
-    /// `i` may exist anywhere for the lifetime of the returned reference.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of bounds.
-    #[must_use]
-    #[allow(clippy::mut_from_ref)] // the whole point; safety contract above
-    pub unsafe fn get_mut(&self, i: usize) -> &mut T {
-        assert!(i < self.len, "index {i} out of bounds (len {})", self.len);
-        #[cfg(feature = "shardcheck")]
-        self.claims.record_exclusive(i);
-        // SAFETY: in-bounds (asserted); exclusivity discharged by the
-        // caller's disjoint-index contract.
-        unsafe { &mut *self.ptr.add(i) }
-    }
-}
-
-/// Runtime claim tracking behind the `shardcheck` feature: the dynamic
-/// counterpart of the `simlint` static unsafe audit. Each OS thread gets a
-/// process-wide token; each slot remembers its exclusive claimant and its
-/// reader(s) for the lifetime of one `DisjointSlots` wrapper (= one sharded
-/// cycle). Any cross-worker overlap panics with a `shardcheck:` message.
-#[cfg(feature = "shardcheck")]
-mod shardcheck {
-    use std::cell::Cell;
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    /// Sentinel recorded when more than one distinct worker read a slot.
-    const MANY: u64 = u64::MAX;
-
-    /// A distinct nonzero token per OS thread (stable for the thread's
-    /// lifetime, so a crew worker keeps one identity across cycles).
-    fn worker_token() -> u64 {
-        static NEXT: AtomicU64 = AtomicU64::new(1);
-        thread_local! {
-            static TOKEN: Cell<u64> = const { Cell::new(0) };
-        }
-        TOKEN.with(|t| {
-            let mut v = t.get();
-            if v == 0 {
-                v = NEXT.fetch_add(1, Ordering::Relaxed);
-                t.set(v);
-            }
-            v
-        })
-    }
-
-    pub(super) struct Claims {
-        /// Per-slot exclusive claimant token (0 = unclaimed).
-        excl: Vec<AtomicU64>,
-        /// Per-slot reader token (0 = none, [`MANY`] = several workers).
-        shared: Vec<AtomicU64>,
-    }
-
-    impl Claims {
-        pub(super) fn new(len: usize) -> Self {
-            Self {
-                excl: (0..len).map(|_| AtomicU64::new(0)).collect(),
-                shared: (0..len).map(|_| AtomicU64::new(0)).collect(),
-            }
-        }
-
-        /// Claims slot `i` exclusively for the calling worker.
-        ///
-        /// # Panics
-        ///
-        /// Panics if another worker already claimed or read slot `i`
-        /// through this wrapper (same sharded cycle).
-        pub(super) fn record_exclusive(&self, i: usize) {
-            let me = worker_token();
-            let prev = self.excl[i]
-                .compare_exchange(0, me, Ordering::AcqRel, Ordering::Acquire)
-                .unwrap_or_else(|cur| cur);
-            assert!(
-                prev == 0 || prev == me,
-                "shardcheck: slot {i} claimed exclusively by worker {prev} \
-                 and worker {me} in the same cycle"
-            );
-            let reader = self.shared[i].load(Ordering::Acquire);
-            assert!(
-                reader == 0 || reader == me,
-                "shardcheck: slot {i} read by worker {} but claimed \
-                 exclusively by worker {me} in the same cycle",
-                if reader == MANY {
-                    "<several>".to_string()
-                } else {
-                    reader.to_string()
-                }
-            );
-        }
-
-        /// Records a shared read of slot `i` by the calling worker.
-        ///
-        /// # Panics
-        ///
-        /// Panics if another worker holds an exclusive claim on slot `i`
-        /// through this wrapper (same sharded cycle).
-        pub(super) fn record_shared(&self, i: usize) {
-            let me = worker_token();
-            let owner = self.excl[i].load(Ordering::Acquire);
-            assert!(
-                owner == 0 || owner == me,
-                "shardcheck: slot {i} claimed exclusively by worker {owner} \
-                 but read by worker {me} in the same cycle"
-            );
-            let _ =
-                self.shared[i].fetch_update(Ordering::AcqRel, Ordering::Acquire, |cur| match cur {
-                    0 => Some(me),
-                    c if c == me => None,
-                    _ => Some(MANY),
-                });
-        }
-    }
+/// Panics if `rest` holds fewer than `len` elements.
+///
+/// # Examples
+///
+/// ```
+/// use simkit::region::split_front;
+///
+/// let mut data = [0, 1, 2, 3, 4];
+/// let mut rest = &mut data[..];
+/// let a = split_front(&mut rest, 2);
+/// let b = split_front(&mut rest, 3);
+/// a[0] = 10;
+/// b[2] = 40;
+/// assert!(rest.is_empty());
+/// assert_eq!(data, [10, 1, 2, 3, 40]);
+/// ```
+pub fn split_front<'a, T>(rest: &mut &'a mut [T], len: usize) -> &'a mut [T] {
+    rest.split_off_mut(..len)
+        .expect("region part runs past the end of the array")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn disjoint_slots_allow_disjoint_parallel_writes() {
-        let mut data = vec![0u64; 8];
-        let slots = DisjointSlots::new(&mut data);
-        std::thread::scope(|s| {
-            let slots = &slots;
-            for w in 0..4 {
-                s.spawn(move || {
-                    for i in (w..8).step_by(4) {
-                        // SAFETY: each worker touches i ≡ w (mod 4) only.
-                        *unsafe { slots.get_mut(i) } = i as u64 + 1;
-                    }
-                });
-            }
-        });
-        assert_eq!(data, vec![1, 2, 3, 4, 5, 6, 7, 8]);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of bounds")]
-    fn disjoint_slots_bounds_checked() {
-        let mut data = [0u8; 3];
-        let slots = DisjointSlots::new(&mut data);
-        // SAFETY: no concurrent access exists.
-        let _ = unsafe { slots.get(3) };
-    }
 
     #[test]
     fn bands_cover_the_mesh_exactly_once() {
@@ -478,16 +222,11 @@ mod tests {
     }
 
     #[test]
-    fn region_set_drains_in_region_order() {
-        let mut set: RegionSet<u32> = RegionSet::new(3);
-        set.outbox(2).push(20);
-        set.outbox(0).push(1);
-        set.outbox(1).push(10);
-        set.outbox(0).push(2);
-        assert!(!set.is_empty());
-        let mut out = Vec::new();
-        set.drain(|v| out.push(v));
-        assert_eq!(out, vec![1, 2, 10, 20]);
-        assert!(set.is_empty());
+    #[should_panic(expected = "past the end")]
+    fn split_front_refuses_a_part_past_the_end() {
+        let mut data = [0u8; 3];
+        let mut rest = &mut data[..];
+        let _ = split_front(&mut rest, 2);
+        let _ = split_front(&mut rest, 2);
     }
 }

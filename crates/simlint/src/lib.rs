@@ -4,7 +4,8 @@
 //! modes, `--jobs` and `--threads`. That claim rests on invariants the
 //! compiler does not check: no iteration over hash collections, no wall
 //! clock or environment reads in simulation paths, and a written-down
-//! justification for every `unsafe` site the sharded hot path relies on.
+//! justification for every `unsafe` site (today only the worker crew's
+//! type-erased closure in `simkit::pool`).
 //! `simlint` enforces those invariants statically, with no dependencies —
 //! the pinned offline toolchain has no Miri and no sanitizers, so the
 //! validator is built in-tree, in the same hand-rolled style as
@@ -17,9 +18,7 @@
 //! allowlist, and emits the `LINT_unsafe_audit.json` table.
 //!
 //! Run it as `cargo run -p simlint -- check`; the binary exits non-zero on
-//! any finding, so CI can gate on it. The dynamic counterpart — the
-//! `shardcheck` feature in `simkit::region` — validates at runtime the
-//! aliasing contract the audited `unsafe` code assumes.
+//! any finding, so CI can gate on it.
 
 #![forbid(unsafe_code)]
 

@@ -46,13 +46,13 @@ fn every_unsafe_site_is_documented_and_audited() {
     let root = workspace_root();
     let cfg = load_config(root);
     let result = driver::check_workspace(root, &cfg).expect("scan succeeds");
-    // The sharded engines rely on a double-digit number of unsafe sites;
-    // if this drops to near zero the scanner is broken, not the tree safe.
-    assert!(
-        result.unsafe_sites.len() > 30,
-        "only {} unsafe sites found",
-        result.unsafe_sites.len()
-    );
+    // The only `unsafe` left is the worker crew's type-erased closure; the
+    // engines are `#![forbid(unsafe_code)]`. (`tests/fixtures.rs` proves
+    // the scanner finds `unsafe` at all.)
+    assert!(!result.unsafe_sites.is_empty(), "the crew's sites vanished");
+    for site in &result.unsafe_sites {
+        assert_eq!(site.file, "crates/simkit/src/pool.rs", "{site:?}");
+    }
     let undocumented: Vec<_> = result
         .unsafe_sites
         .iter()
@@ -63,15 +63,7 @@ fn every_unsafe_site_is_documented_and_audited() {
     let json = driver::audit_json(&result.unsafe_sites);
     assert!(json.contains("\"schema\": \"simlint-unsafe-audit-v1\""));
     assert!(json.contains(&format!("\"total\": {}", result.unsafe_sites.len())));
-    // Every site record names its file; spot-check the known hot spots.
-    for file in [
-        "crates/simkit/src/region.rs",
-        "crates/simkit/src/pool.rs",
-        "crates/patronoc/src/engine.rs",
-        "crates/packetnoc/src/engine.rs",
-    ] {
-        assert!(json.contains(file), "audit table misses {file}");
-    }
+    assert!(json.contains("crates/simkit/src/pool.rs"));
 }
 
 #[test]
