@@ -28,6 +28,14 @@ pub enum ConfigError {
     /// An endpoint placement list (`"masters"` or `"slaves"`) repeats a
     /// node or is not in ascending node order.
     EndpointOrder(&'static str),
+    /// One `region_size`-byte region per node, laid out above the address
+    /// base, ends beyond the 64-bit address space.
+    RegionOverflow {
+        /// Bytes per region.
+        region_size: u64,
+        /// Nodes that each own one region.
+        nodes: usize,
+    },
 }
 
 impl fmt::Display for ConfigError {
@@ -55,6 +63,10 @@ impl fmt::Display for ConfigError {
             Self::EndpointOrder(name) => {
                 write!(f, "{name} must list distinct nodes in ascending order")
             }
+            Self::RegionOverflow { region_size, nodes } => write!(
+                f,
+                "region_size {region_size} for {nodes} nodes overflows the 64-bit address space"
+            ),
         }
     }
 }

@@ -12,9 +12,9 @@
 //! * **Topology** — the same XP building block as mesh, torus and ring.
 //!
 //! All five studies flatten into one grid of `Scenario` values run across
-//! `--jobs` workers (env `BENCH_JOBS`); output is bit-identical for every
-//! worker count. `--quick` (or `ABLATION_QUICK=1`) shrinks the window;
-//! `--json PATH` writes machine-readable results.
+//! `--jobs` workers; output is bit-identical for every worker count.
+//! `--quick` shrinks the window; `--json PATH` writes machine-readable
+//! results.
 
 use bench::json::Json;
 use bench::sweep::SweepOptions;
@@ -56,7 +56,7 @@ const MOTS: [u32; 6] = [1, 2, 4, 8, 16, 32];
 const SLICE_COUNTS: [usize; 3] = [1, 2, 4];
 
 fn main() {
-    let opts = SweepOptions::parse("ABLATION_QUICK");
+    let opts = SweepOptions::parse();
     let window = if opts.quick { 30_000 } else { 120_000 };
 
     // The declarative grid: every section's points, flattened so workers

@@ -20,11 +20,10 @@
 //! bench-diff BASELINE.json CURRENT.json [--threshold F]
 //! ```
 //!
-//! The threshold is a fraction (default 0.05 = 5 %); `BENCH_DIFF_THRESHOLD`
-//! overrides the default from the environment, the flag overrides both.
-//! CI compares against a baseline committed from a different machine, so
-//! its workflow passes a deliberately loose threshold — the tight default
-//! is for like-for-like hardware.
+//! The threshold is a fraction (default 0.05 = 5 %). CI compares against
+//! a baseline committed from a different machine, so its workflow passes a
+//! deliberately loose threshold — the tight default is for like-for-like
+//! hardware.
 
 use bench::diff::{
     compare_fig4, compare_saturated, compare_scaling, figure, parse_fig4_points, parse_points,
@@ -36,7 +35,7 @@ use std::process::exit;
 
 const USAGE: &str = "usage: bench-diff BASELINE.json CURRENT.json [--threshold F]
   --threshold F  allowed fractional cycles_per_sec regression at the
-                 saturated point (default: $BENCH_DIFF_THRESHOLD, else 0.05);
+                 saturated point (default: 0.05);
                  ignored for fig4 artifacts, whose deterministic
                  trajectories gate on a fixed epsilon";
 
@@ -46,28 +45,20 @@ struct Options {
     threshold: f64,
 }
 
-fn try_parse(
-    args: impl Iterator<Item = String>,
-    env_threshold: Option<&str>,
-) -> Result<Options, String> {
+fn try_parse(args: impl Iterator<Item = String>) -> Result<Options, String> {
     let mut paths: Vec<PathBuf> = Vec::new();
-    let mut threshold: Option<f64> = None;
+    let mut threshold = DEFAULT_THRESHOLD;
     let mut args = args.peekable();
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--threshold" => {
                 let v = args.next().ok_or("--threshold needs a value")?;
-                threshold = Some(parse_threshold(&v)?);
+                threshold = parse_threshold(&v)?;
             }
             flag if flag.starts_with("--") => return Err(format!("unknown argument `{flag}`")),
             path => paths.push(PathBuf::from(path)),
         }
     }
-    let threshold = match (threshold, env_threshold) {
-        (Some(t), _) => t,
-        (None, Some(v)) => parse_threshold(v).map_err(|e| format!("BENCH_DIFF_THRESHOLD: {e}"))?,
-        (None, None) => DEFAULT_THRESHOLD,
-    };
     match <[PathBuf; 2]>::try_from(paths) {
         Ok([baseline, current]) => Ok(Options {
             baseline,
@@ -228,8 +219,7 @@ fn diff_fig4(opts: &Options, baseline: &Json, current: &Json) -> usize {
 }
 
 fn main() {
-    let env_threshold = std::env::var("BENCH_DIFF_THRESHOLD").ok();
-    let opts = match try_parse(std::env::args().skip(1), env_threshold.as_deref()) {
+    let opts = match try_parse(std::env::args().skip(1)) {
         Ok(opts) => opts,
         Err(msg) => {
             eprintln!("error: {msg}\n{USAGE}");

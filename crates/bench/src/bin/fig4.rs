@@ -4,10 +4,10 @@
 //! burst-length caps.
 //!
 //! The 13 loads × 7 curves form a grid of `Scenario` values executed
-//! across `--jobs` workers (default: all cores; env `BENCH_JOBS`); output
-//! is bit-identical for every worker count. Runtime: ~2–4 core-minutes in
-//! release mode. `--quick` (or `FIG4_QUICK=1`) runs a coarse fast sweep;
-//! `--json PATH` additionally writes machine-readable results.
+//! across `--jobs` workers (default: all cores); output is bit-identical
+//! for every worker count. Runtime: ~2–4 core-minutes in release mode.
+//! `--quick` runs a coarse fast sweep; `--json PATH` additionally writes
+//! machine-readable results.
 
 use bench::defaults::{self, BURST_CAPS, LOADS, WARMUP, WINDOW};
 use bench::json::Json;
@@ -60,7 +60,7 @@ impl Curve {
 }
 
 fn main() {
-    let opts = SweepOptions::parse("FIG4_QUICK");
+    let opts = SweepOptions::parse();
     let (window, warmup) = if opts.quick {
         (30_000, 6_000)
     } else {

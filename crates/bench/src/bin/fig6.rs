@@ -7,9 +7,8 @@
 //! wide in the paper's rounding) — which bounds it at 100 %.
 //!
 //! The 2 × 3 × 5 grid of `Scenario` values executes across `--jobs`
-//! workers (env `BENCH_JOBS`); output is bit-identical for every worker
-//! count. `--quick` (or `FIG6_QUICK=1`) runs a coarse sweep; `--json PATH`
-//! writes machine-readable results.
+//! workers; output is bit-identical for every worker count. `--quick`
+//! runs a coarse sweep; `--json PATH` writes machine-readable results.
 
 use bench::defaults::{BURST_CAPS, WARMUP, WINDOW};
 use bench::json::Json;
@@ -19,7 +18,7 @@ use scenario::Scenario;
 use traffic::SyntheticPattern;
 
 fn main() {
-    let opts = SweepOptions::parse("FIG6_QUICK");
+    let opts = SweepOptions::parse();
     let (window, warmup) = if opts.quick {
         (30_000, 6_000)
     } else {

@@ -3,11 +3,11 @@
 //! training, layer-parallel convolution, pipelined convolution).
 //!
 //! The six trace runs are `Scenario` values executed across `--jobs`
-//! workers (env `BENCH_JOBS`); output is bit-identical for every worker
-//! count. A trace that misses its cycle budget is *reported* (per its
-//! `StopReason`), not a crash. `--quick` (or `FIG8_QUICK=1`) runs
-//! single-step traces; `--json PATH` writes machine-readable results,
-//! each point carrying its full scenario recipe.
+//! workers; output is bit-identical for every worker count. A trace that
+//! misses its cycle budget is *reported* (per its `StopReason`), not a
+//! crash. `--quick` runs single-step traces; `--json PATH` writes
+//! machine-readable results, each point carrying its full scenario
+//! recipe.
 
 use bench::json::Json;
 use bench::sweep::SweepOptions;
@@ -16,7 +16,7 @@ use scenario::Scenario;
 use traffic::DnnWorkload;
 
 fn main() {
-    let opts = SweepOptions::parse("FIG8_QUICK");
+    let opts = SweepOptions::parse();
     let steps = if opts.quick { 1 } else { 2 };
 
     let mut cells: Vec<(u32, &str, DnnWorkload, Scenario)> = Vec::new();

@@ -27,7 +27,7 @@ use bench::perf::{mode_json, run_packet, run_patronoc, telemetry_is_live, Runner
 use bench::sweep::SweepOptions;
 
 fn main() {
-    let opts = SweepOptions::parse("PERF_QUICK");
+    let opts = SweepOptions::parse();
     let (window, warmup) = if opts.quick {
         (60_000, 10_000)
     } else {

@@ -15,8 +15,8 @@
 //! asserts it — so the curve isolates the wall-clock effect of sharding.
 //! Every point runs **sequentially** (never through `--jobs` workers):
 //! each timed run must own the machine or the speedup numbers would be
-//! polluted by sweep-level parallelism. `--quick` (or `SCALING_QUICK=1`)
-//! shrinks the window; `--json PATH` writes `BENCH_scaling.json`.
+//! polluted by sweep-level parallelism. `--quick` shrinks the window;
+//! `--json PATH` writes `BENCH_scaling.json`.
 
 use bench::json::Json;
 use bench::sweep::SweepOptions;
@@ -56,7 +56,7 @@ fn scaling_scenario(dim: usize, window: u64, warmup: u64) -> Scenario {
 }
 
 fn main() {
-    let opts = SweepOptions::parse("SCALING_QUICK");
+    let opts = SweepOptions::parse();
     let window = if opts.quick { 3_000 } else { 30_000 };
     let warmup = window / 5;
     let model = AreaModel::calibrated();

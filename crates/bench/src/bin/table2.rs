@@ -24,7 +24,7 @@ struct Row {
 }
 
 fn main() {
-    let opts = SweepOptions::parse("TABLE2_QUICK");
+    let opts = SweepOptions::parse();
     let rows = [
         Row {
             work: "SpiNNaker",

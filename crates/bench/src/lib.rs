@@ -10,8 +10,6 @@
 //! results can be emitted as JSON artifacts through [`json`]. The full
 //! methodology is recorded in `EXPERIMENTS.md` at the repository root.
 
-#![forbid(unsafe_code)]
-
 use scenario::{PacketProfile, Scenario, TrafficSpec};
 use simkit::StopReason;
 use traffic::{DnnWorkload, SyntheticPattern};
@@ -150,19 +148,6 @@ pub fn noxim_uniform_point(
         .run()
         .expect("valid scenario")
         .throughput_gib_s
-}
-
-/// Sweeps injected load for PATRONoC at one burst cap (one Fig. 4 curve),
-/// serially. Equivalent to [`patronoc_uniform_curve_jobs`] with `jobs = 1`.
-#[must_use]
-pub fn patronoc_uniform_curve(
-    dw_bits: u32,
-    max_transfer: u64,
-    loads: &[f64],
-    window: u64,
-    warmup: u64,
-) -> Vec<LoadPoint> {
-    patronoc_uniform_curve_jobs(dw_bits, max_transfer, loads, window, warmup, 1)
 }
 
 /// Sweeps injected load for PATRONoC at one burst cap across `jobs` worker
@@ -324,12 +309,6 @@ pub fn dnn_point_for(scenario: &Scenario, workload: DnnWorkload) -> DnnPoint {
 #[must_use]
 pub fn dnn_point(dw_bits: u32, workload: DnnWorkload, steps: usize) -> DnnPoint {
     dnn_point_for(&dnn_scenario(dw_bits, workload, steps), workload)
-}
-
-/// Formats a GiB/s value the way the paper's plots label them.
-#[must_use]
-pub fn fmt_gib(v: f64) -> String {
-    format!("{v:8.2} GiB/s")
 }
 
 #[cfg(test)]

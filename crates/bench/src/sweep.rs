@@ -4,8 +4,8 @@
 //! simulator, one traffic source and one derived seed per point, no shared
 //! state. This module turns that structure into an executable recipe:
 //!
-//! 1. a binary parses its [`SweepOptions`] (`--jobs N`, `--json PATH`,
-//!    `--quick`, with `BENCH_JOBS` / `<FIG>_QUICK` environment fallbacks),
+//! 1. a binary parses its [`SweepOptions`] (`--jobs N`, `--threads N`,
+//!    `--json PATH`, `--quick`),
 //! 2. builds a `Vec` of figure-specific point descriptors,
 //! 3. hands them to [`SweepOptions::run_points`], which fans them across a
 //!    [`simkit::pool::scope_map`] worker pool and returns the results in
@@ -22,25 +22,16 @@
 use simkit::pool;
 use std::path::PathBuf;
 
-/// Environment variable overriding the default worker count for all sweeps.
-pub const JOBS_ENV: &str = "BENCH_JOBS";
-
-/// Environment variable overriding the default per-simulation region-shard
-/// thread count (`Scenario::threads`) for all sweeps.
-pub const THREADS_ENV: &str = "BENCH_THREADS";
-
 const USAGE: &str = "usage: <bin> [--jobs N] [--threads N] [--json PATH] [--quick]
-  --jobs N     worker threads for the sweep grid (default: $BENCH_JOBS,
-               else the machine's available parallelism); results are
-               bit-identical for every N
-  --threads N  region-shard threads inside each simulation (default:
-               $BENCH_THREADS, else 1); results are bit-identical for
+  --jobs N     worker threads for the sweep grid (default: the machine's
+               available parallelism); results are bit-identical for
                every N
+  --threads N  region-shard threads inside each simulation (default: 1);
+               results are bit-identical for every N
   --json PATH  also write machine-readable results (BENCH_<fig>.json style)
-  --quick      coarse fast sweep (same as setting the binary's <FIG>_QUICK
-               environment variable)";
+  --quick      coarse fast sweep";
 
-/// Parsed command-line / environment options shared by the sweep binaries.
+/// Parsed command-line options shared by the sweep binaries.
 #[derive(Debug, Clone)]
 pub struct SweepOptions {
     /// Worker threads used by [`run_points`](Self::run_points).
@@ -55,22 +46,12 @@ pub struct SweepOptions {
 }
 
 impl SweepOptions {
-    /// Parses `std::env::args` plus the environment. `quick_env` names the
-    /// binary's quick-mode variable (e.g. `"FIG4_QUICK"`), kept for
-    /// backwards compatibility with the pre-`--quick` interface.
+    /// Parses `std::env::args`.
     ///
     /// Exits with status 2 on unknown or malformed arguments.
     #[must_use]
-    pub fn parse(quick_env: &str) -> Self {
-        let env_quick = std::env::var_os(quick_env).is_some();
-        let env_jobs = std::env::var(JOBS_ENV).ok();
-        let env_threads = std::env::var(THREADS_ENV).ok();
-        match Self::try_parse(
-            std::env::args().skip(1),
-            env_quick,
-            env_jobs.as_deref(),
-            env_threads.as_deref(),
-        ) {
+    pub fn parse() -> Self {
+        match Self::try_parse(std::env::args().skip(1)) {
             Ok(opts) => opts,
             Err(msg) => {
                 eprintln!("error: {msg}\n{USAGE}");
@@ -80,16 +61,11 @@ impl SweepOptions {
     }
 
     /// The testable core of [`parse`](Self::parse).
-    fn try_parse(
-        args: impl Iterator<Item = String>,
-        env_quick: bool,
-        env_jobs: Option<&str>,
-        env_threads: Option<&str>,
-    ) -> Result<Self, String> {
-        let mut jobs: Option<usize> = None;
-        let mut threads: Option<usize> = None;
+    fn try_parse(args: impl Iterator<Item = String>) -> Result<Self, String> {
+        let mut jobs = None;
+        let mut threads = 1;
         let mut json = None;
-        let mut quick = env_quick;
+        let mut quick = false;
         let mut args = args.peekable();
         while let Some(arg) = args.next() {
             match arg.as_str() {
@@ -99,7 +75,7 @@ impl SweepOptions {
                 }
                 "--threads" => {
                     let v = args.next().ok_or("--threads needs a value")?;
-                    threads = Some(parse_jobs(&v)?);
+                    threads = parse_jobs(&v)?;
                 }
                 "--json" => {
                     let v = args.next().ok_or("--json needs a path")?;
@@ -109,18 +85,8 @@ impl SweepOptions {
                 other => return Err(format!("unknown argument `{other}`")),
             }
         }
-        let jobs = match (jobs, env_jobs) {
-            (Some(n), _) => n,
-            (None, Some(v)) => parse_jobs(v).map_err(|e| format!("{JOBS_ENV}: {e}"))?,
-            (None, None) => pool::default_jobs(),
-        };
-        let threads = match (threads, env_threads) {
-            (Some(n), _) => n,
-            (None, Some(v)) => parse_jobs(v).map_err(|e| format!("{THREADS_ENV}: {e}"))?,
-            (None, None) => 1,
-        };
         Ok(Self {
-            jobs,
+            jobs: jobs.unwrap_or_else(pool::default_jobs),
             threads,
             json,
             quick,
@@ -201,8 +167,8 @@ mod tests {
     }
 
     #[test]
-    fn defaults_without_flags_or_env() {
-        let opts = SweepOptions::try_parse(argv(&[]), false, None, None).unwrap();
+    fn defaults_without_flags() {
+        let opts = SweepOptions::try_parse(argv(&[])).unwrap();
         assert_eq!(opts.jobs, pool::default_jobs());
         assert_eq!(opts.threads, 1);
         assert!(opts.json.is_none());
@@ -211,51 +177,20 @@ mod tests {
 
     #[test]
     fn flags_parse() {
-        let opts = SweepOptions::try_parse(
-            argv(&[
-                "--jobs",
-                "4",
-                "--threads",
-                "2",
-                "--json",
-                "out.json",
-                "--quick",
-            ]),
-            false,
-            None,
-            None,
-        )
+        let opts = SweepOptions::try_parse(argv(&[
+            "--jobs",
+            "4",
+            "--threads",
+            "2",
+            "--json",
+            "out.json",
+            "--quick",
+        ]))
         .unwrap();
         assert_eq!(opts.jobs, 4);
         assert_eq!(opts.threads, 2);
         assert_eq!(opts.json.as_deref(), Some(std::path::Path::new("out.json")));
         assert!(opts.quick);
-    }
-
-    #[test]
-    fn jobs_flag_overrides_env() {
-        let opts = SweepOptions::try_parse(argv(&["--jobs", "2"]), false, Some("8"), None).unwrap();
-        assert_eq!(opts.jobs, 2);
-        let opts = SweepOptions::try_parse(argv(&[]), false, Some("8"), None).unwrap();
-        assert_eq!(opts.jobs, 8);
-    }
-
-    #[test]
-    fn threads_flag_overrides_env() {
-        let opts =
-            SweepOptions::try_parse(argv(&["--threads", "4"]), false, None, Some("2")).unwrap();
-        assert_eq!(opts.threads, 4);
-        let opts = SweepOptions::try_parse(argv(&[]), false, None, Some("2")).unwrap();
-        assert_eq!(opts.threads, 2);
-    }
-
-    #[test]
-    fn quick_env_sets_quick() {
-        assert!(
-            SweepOptions::try_parse(argv(&[]), true, None, None)
-                .unwrap()
-                .quick
-        );
     }
 
     #[test]
@@ -270,12 +205,10 @@ mod tests {
             vec!["--frobnicate"],
         ] {
             assert!(
-                SweepOptions::try_parse(argv(&bad), false, None, None).is_err(),
+                SweepOptions::try_parse(argv(&bad)).is_err(),
                 "{bad:?} should be rejected"
             );
         }
-        assert!(SweepOptions::try_parse(argv(&[]), false, Some("zero"), None).is_err());
-        assert!(SweepOptions::try_parse(argv(&[]), false, None, Some("-1")).is_err());
     }
 
     #[test]

@@ -42,8 +42,6 @@
 //! assert!(report.throughput_gib_s > 0.0);
 //! ```
 
-#![forbid(unsafe_code)]
-
 pub mod config;
 pub mod engine;
 pub mod ni;

@@ -120,7 +120,8 @@ impl NocConfig {
     /// exceeding the topology capacity, out-of-range endpoint nodes, or an
     /// endpoint list that repeats a node or is out of ascending order (one
     /// node hosts at most one master and one slave, and a region-sharded
-    /// run needs each region's endpoints contiguous).
+    /// run needs each region's endpoints contiguous), or a `region_size`
+    /// whose regions would end beyond the 64-bit address space.
     pub fn validate(&self) -> Result<(), ConfigError> {
         // Re-validate AXI parameters (AxiParams is always-valid by
         // construction, but this keeps the contract explicit).
@@ -156,6 +157,15 @@ impl NocConfig {
             if value == 0 {
                 return Err(ConfigError::ZeroParameter(name));
             }
+        }
+        let regions_end = (capacity as u64)
+            .checked_mul(self.region_size)
+            .and_then(|bytes| bytes.checked_add(Self::ADDR_BASE));
+        if regions_end.is_none() {
+            return Err(ConfigError::RegionOverflow {
+                region_size: self.region_size,
+                nodes: capacity,
+            });
         }
         Ok(())
     }
@@ -235,6 +245,43 @@ mod tests {
         assert_eq!(
             cfg.validate(),
             Err(ConfigError::ZeroParameter("dma_queue_cap"))
+        );
+    }
+
+    #[test]
+    fn rejects_regions_beyond_the_address_space() {
+        let mut cfg = NocConfig::slim_4x4();
+        cfg.region_size = 1 << 60;
+        assert_eq!(
+            cfg.validate(),
+            Err(ConfigError::RegionOverflow {
+                region_size: 1 << 60,
+                nodes: 16
+            })
+        );
+        cfg.region_size = NocConfig::slim_4x4().region_size;
+        assert!(cfg.validate().is_ok());
+    }
+
+    #[test]
+    fn accepts_regions_that_end_at_the_top_of_the_address_space() {
+        let mut cfg = NocConfig::slim_4x4();
+        let nodes = cfg.topology.num_nodes();
+        cfg.region_size = (u64::MAX - NocConfig::ADDR_BASE) / nodes as u64;
+        assert!(cfg.validate().is_ok());
+        assert!(cfg
+            .region_base(nodes - 1)
+            .checked_add(cfg.region_size)
+            .is_some());
+        // One byte more: the product still fits, adding the base does not.
+        cfg.region_size += 1;
+        assert!((nodes as u64).checked_mul(cfg.region_size).is_some());
+        assert_eq!(
+            cfg.validate(),
+            Err(ConfigError::RegionOverflow {
+                region_size: cfg.region_size,
+                nodes
+            })
         );
     }
 

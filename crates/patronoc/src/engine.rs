@@ -34,8 +34,7 @@ use crate::shard::{self, RegionCtx, RegionLinks, ShardLinkView, Sharding};
 use crate::snapcodec::corrupt;
 use crate::topology::{Dir, Topology, LOCAL, PORTS};
 use crate::xp::Xp;
-use axi::addr::Region;
-use axi::{AddressMap, ConfigError};
+use axi::ConfigError;
 use simkit::pool::{crew_scope, Crew};
 use simkit::region::{split_front, RegionMap};
 use simkit::sched::{should_desaturate, should_saturate, ActiveSet};
@@ -190,8 +189,6 @@ pub struct NocSim {
     xps: Vec<Xp>,
     dmas: Vec<DmaEngine>,
     mems: Vec<MemorySlave>,
-    /// node → index into `dmas`.
-    dma_of_node: Vec<Option<usize>>,
     /// Arenas of every in-flight transfer, one per region (a single slab
     /// when the instance is serial): allocated at injection
     /// ([`poll_stimulus`](Self::poll_stimulus)), owned by one DMA's
@@ -210,7 +207,6 @@ pub struct NocSim {
     /// Reused buffer for per-cycle completion draining (no per-cycle
     /// `Vec`).
     finished_scratch: Vec<u64>,
-    map: AddressMap,
     now: Cycle,
     meter: ThroughputMeter,
     stop_reason: StopReason,
@@ -263,11 +259,9 @@ impl NocSim {
         }
         // Endpoint links.
         let mut dmas = Vec::new();
-        let mut dma_of_node = vec![None; n];
         for &m in &cfg.masters {
             let l = alloc(&mut links, (Comp::Dma(dmas.len()), Comp::Xp(m)));
             in_of[m][LOCAL] = Some(l);
-            dma_of_node[m] = Some(dmas.len());
             dmas.push(DmaEngine::new(m, l, cfg.axi, cfg.dma_setup_cycles));
         }
         let mut mems = Vec::new();
@@ -298,16 +292,6 @@ impl NocSim {
                 )
             })
             .collect();
-        let map = AddressMap::new(
-            (0..n)
-                .map(|node| Region {
-                    start: cfg.region_base(node),
-                    end: cfg.region_base(node) + cfg.region_size,
-                    endpoint: node,
-                })
-                .collect(),
-        )
-        .expect("uniform regions never overlap");
         let sched = Sched::new(ends, dmas.len(), mems.len(), n);
         // Region partition for threaded runs: contiguous row bands. A ring
         // degenerates to one row (never shardable); meshes and tori shard
@@ -357,13 +341,11 @@ impl NocSim {
             xps,
             dmas,
             mems,
-            dma_of_node,
             txns: (0..regions).map(|_| Slab::new()).collect(),
             wstreams: (0..regions).map(|_| Slab::new()).collect(),
             dma_region,
             sharding,
             finished_scratch: Vec::new(),
-            map,
             now: 0,
             meter: ThroughputMeter::new(0),
             stop_reason: StopReason::Budget,
@@ -378,12 +360,6 @@ impl NocSim {
     #[must_use]
     pub fn config(&self) -> &NocConfig {
         &self.cfg
-    }
-
-    /// The address map of the endpoint regions.
-    #[must_use]
-    pub fn address_map(&self) -> &AddressMap {
-        &self.map
     }
 
     /// Why the last [`run`](Engine::run) stopped.
@@ -832,12 +808,6 @@ impl NocSim {
     #[must_use]
     pub fn payload_bytes(&self) -> u64 {
         self.meter.bytes()
-    }
-
-    /// Whether `node` hosts a DMA master.
-    #[must_use]
-    pub fn has_master(&self, node: usize) -> bool {
-        self.dma_of_node.get(node).is_some_and(Option::is_some)
     }
 }
 

@@ -42,8 +42,6 @@
 //! # Ok::<(), scenario::ScenarioError>(())
 //! ```
 
-#![forbid(unsafe_code)]
-
 #[allow(clippy::module_inception)] // `scenario::Scenario` is the crate's point
 pub mod scenario;
 pub mod spec;

@@ -303,6 +303,21 @@ fn documents_the_engines_cannot_model_are_errors_not_panics() {
 }
 
 #[test]
+fn regions_beyond_the_address_space_are_a_config_error() {
+    let text = Scenario::patronoc()
+        .region_size(1 << 60)
+        .to_json()
+        .to_json();
+    let parsed = Scenario::from_json_str(&text).expect("a well-formed document parses");
+    // 16 regions of 2^60 bytes end beyond u64.
+    let err = parsed.build_engine().err();
+    assert!(
+        matches!(err, Some(ScenarioError::Config(_))),
+        "wrong outcome {err:?}"
+    );
+}
+
+#[test]
 fn every_mutated_document_fails_to_parse_is_refused_or_builds() {
     use patronoc::Topology;
     use traffic::{DnnWorkload, SyntheticPattern};

@@ -563,6 +563,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "test-only scratch path for the JSON round-trip test; no simulated value depends on it"
+    )]
     fn write_file_appends_newline() {
         let path = std::env::temp_dir().join("bench_json_test.json");
         Json::obj(vec![("k", Json::U64(1))])

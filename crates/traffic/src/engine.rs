@@ -134,6 +134,10 @@ pub fn drive<E: Engine>(
     let deadline = first_cycle + max_cycles;
     let mut watchdog = ProgressWatchdog::new(first_cycle, engine.progress_marker());
     let mut stop = StopReason::Budget;
+    #[expect(
+        clippy::disallowed_types,
+        reason = "telemetry only: wall_start feeds the steps/sec report and never any simulated value"
+    )]
     let wall_start = std::time::Instant::now();
     while engine.now() < deadline {
         step(engine, source);

@@ -1,6 +1,5 @@
 //! Top-level re-exports for the PATRONoC reproduction workspace.
 
-#![forbid(unsafe_code)]
 pub use axi;
 pub use packetnoc;
 pub use patronoc;
