@@ -1,72 +1,34 @@
 //! AXI burst descriptors and beat geometry.
 //!
 //! An AXI transaction transports `AxLEN + 1` data beats of `2^AxSIZE` bytes
-//! each. `INCR` bursts (the only type DMA traffic uses) are limited to 256
-//! beats and must not cross a 4 KiB address boundary; `WRAP` bursts are
-//! limited to 2, 4, 8 or 16 beats and must start aligned to the beat size.
+//! each. The simulator models `INCR` bursts only, the type all DMA and DNN
+//! traffic uses: at most 256 beats, never crossing a 4 KiB address
+//! boundary.
 
 use crate::{BOUNDARY_4K, MAX_INCR_BEATS};
 use std::fmt;
-
-/// The AXI burst type (`AxBURST`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum BurstType {
-    /// Same address every beat (FIFO-style peripherals).
-    Fixed,
-    /// Incrementing addresses — the type used for all DMA/DNN traffic.
-    #[default]
-    Incr,
-    /// Wrapping burst (cache-line fills).
-    Wrap,
-}
-
-impl fmt::Display for BurstType {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            Self::Fixed => "FIXED",
-            Self::Incr => "INCR",
-            Self::Wrap => "WRAP",
-        };
-        f.write_str(s)
-    }
-}
 
 /// Errors from [`Burst::new`] validation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BurstError {
     /// Beat size must be a power of two of at most 128 bytes (1024 bits).
     BeatSize(u64),
-    /// Beat count out of range for the burst type.
-    BeatCount {
-        /// Requested beats.
-        beats: u64,
-        /// The burst type imposing the limit.
-        burst: BurstType,
-    },
-    /// A WRAP burst must start aligned to the beat size.
-    WrapUnaligned {
-        /// Requested start address.
-        addr: u64,
-    },
+    /// Beat count outside the `INCR` range 1..=256.
+    BeatCount(u64),
 }
 
 impl fmt::Display for BurstError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Self::BeatSize(s) => write!(f, "beat size {s} invalid (power of two ≤ 128)"),
-            Self::BeatCount { beats, burst } => {
-                write!(f, "{beats} beats illegal for {burst} burst")
-            }
-            Self::WrapUnaligned { addr } => {
-                write!(f, "wrap burst at {addr:#x} not aligned to beat size")
-            }
+            Self::BeatCount(beats) => write!(f, "{beats} beats illegal for an INCR burst"),
         }
     }
 }
 
 impl std::error::Error for BurstError {}
 
-/// One AXI burst: the content of an AW or AR request beat.
+/// One `INCR` burst: the content of an AW or AR request beat.
 ///
 /// The payload accounting is *byte-accurate*: a burst may start and end
 /// mid-beat (unaligned DMA), in which case the first/last beats carry fewer
@@ -76,9 +38,9 @@ impl std::error::Error for BurstError {}
 /// # Examples
 ///
 /// ```
-/// use axi::{Burst, BurstType};
+/// use axi::Burst;
 ///
-/// let b = Burst::new(0x80, 16, 4, BurstType::Incr)?; // 16 beats × 4 B
+/// let b = Burst::new(0x80, 16, 4)?; // 16 beats × 4 B
 /// assert_eq!(b.payload_bytes(), 64);
 /// assert_eq!(b.beat_addr(1), 0x84);
 /// # Ok::<(), axi::burst::BurstError>(())
@@ -88,45 +50,28 @@ pub struct Burst {
     addr: u64,
     beats: u64,
     beat_bytes: u64,
-    burst: BurstType,
     /// Valid bytes in this burst (≤ beats × beat_bytes for unaligned ends).
     payload: u64,
 }
 
 impl Burst {
-    /// Creates a burst of `beats` full beats of `beat_bytes` each.
-    ///
-    /// For `INCR`, `beats` must be 1..=256; for `FIXED`, 1..=16; for `WRAP`,
-    /// one of {2, 4, 8, 16} and `addr` aligned to `beat_bytes`.
+    /// Creates a burst of `beats` full beats of `beat_bytes` each; `beats`
+    /// must be 1..=256.
     ///
     /// # Errors
     ///
-    /// Returns [`BurstError`] if the descriptor violates the AXI rules above.
-    pub fn new(
-        addr: u64,
-        beats: u64,
-        beat_bytes: u64,
-        burst: BurstType,
-    ) -> Result<Self, BurstError> {
+    /// Returns [`BurstError`] for an invalid bus width or beat count.
+    pub fn new(addr: u64, beats: u64, beat_bytes: u64) -> Result<Self, BurstError> {
         if !(1..=128).contains(&beat_bytes) || !beat_bytes.is_power_of_two() {
             return Err(BurstError::BeatSize(beat_bytes));
         }
-        let legal = match burst {
-            BurstType::Incr => (1..=MAX_INCR_BEATS).contains(&beats),
-            BurstType::Fixed => (1..=16).contains(&beats),
-            BurstType::Wrap => matches!(beats, 2 | 4 | 8 | 16),
-        };
-        if !legal {
-            return Err(BurstError::BeatCount { beats, burst });
-        }
-        if burst == BurstType::Wrap && !addr.is_multiple_of(beat_bytes) {
-            return Err(BurstError::WrapUnaligned { addr });
+        if !(1..=MAX_INCR_BEATS).contains(&beats) {
+            return Err(BurstError::BeatCount(beats));
         }
         Ok(Self {
             addr,
             beats,
             beat_bytes,
-            burst,
             payload: beats * beat_bytes,
         })
     }
@@ -146,16 +91,12 @@ impl Burst {
         let offset = addr % beat_bytes;
         let beats = (offset + payload).div_ceil(beat_bytes).max(1);
         if !(1..=MAX_INCR_BEATS).contains(&beats) {
-            return Err(BurstError::BeatCount {
-                beats,
-                burst: BurstType::Incr,
-            });
+            return Err(BurstError::BeatCount(beats));
         }
         Ok(Self {
             addr,
             beats,
             beat_bytes,
-            burst: BurstType::Incr,
             payload,
         })
     }
@@ -172,28 +113,10 @@ impl Burst {
         self.beats
     }
 
-    /// The encoded `AxLEN` field (beats − 1).
-    #[must_use]
-    pub fn axlen(&self) -> u8 {
-        (self.beats - 1) as u8
-    }
-
     /// Bytes per beat (`2^AxSIZE`).
     #[must_use]
     pub fn beat_bytes(&self) -> u64 {
         self.beat_bytes
-    }
-
-    /// The encoded `AxSIZE` field (log2 of the beat size).
-    #[must_use]
-    pub fn axsize(&self) -> u8 {
-        self.beat_bytes.trailing_zeros() as u8
-    }
-
-    /// Burst type.
-    #[must_use]
-    pub fn burst_type(&self) -> BurstType {
-        self.burst
     }
 
     /// Valid payload bytes carried by the burst.
@@ -202,7 +125,8 @@ impl Burst {
         self.payload
     }
 
-    /// Address of beat `i` (0-based).
+    /// Address of beat `i` (0-based): the start address, then each
+    /// following beat's bus-aligned address.
     ///
     /// # Panics
     ///
@@ -210,45 +134,22 @@ impl Burst {
     #[must_use]
     pub fn beat_addr(&self, i: u64) -> u64 {
         assert!(i < self.beats, "beat index out of range");
-        match self.burst {
-            BurstType::Fixed => self.addr,
-            BurstType::Incr => {
-                let aligned = self.addr - self.addr % self.beat_bytes;
-                if i == 0 {
-                    self.addr
-                } else {
-                    aligned + i * self.beat_bytes
-                }
-            }
-            BurstType::Wrap => {
-                let container = self.beats * self.beat_bytes;
-                let base = self.addr - self.addr % container;
-                base + (self.addr - base + i * self.beat_bytes) % container
-            }
+        if i == 0 {
+            self.addr
+        } else {
+            self.addr - self.addr % self.beat_bytes + i * self.beat_bytes
         }
     }
 
     /// Last byte address touched by the burst (inclusive).
     #[must_use]
     pub fn last_byte(&self) -> u64 {
-        match self.burst {
-            BurstType::Fixed => self.addr + self.beat_bytes - 1,
-            BurstType::Incr => self.addr + self.payload - 1,
-            BurstType::Wrap => {
-                let container = self.beats * self.beat_bytes;
-                let base = self.addr - self.addr % container;
-                base + container - 1
-            }
-        }
+        self.addr + self.payload - 1
     }
 
-    /// Whether an `INCR` burst crosses a 4 KiB boundary (illegal in AXI).
-    /// `WRAP`/`FIXED` bursts cannot cross by construction.
+    /// Whether the burst crosses a 4 KiB boundary (illegal in AXI).
     #[must_use]
     pub fn crosses_4k_boundary(&self) -> bool {
-        if self.burst != BurstType::Incr {
-            return false;
-        }
         self.addr / BOUNDARY_4K != self.last_byte() / BOUNDARY_4K
     }
 }
@@ -259,9 +160,9 @@ mod tests {
 
     #[test]
     fn incr_geometry() {
-        let b = Burst::new(0x100, 4, 8, BurstType::Incr).unwrap();
-        assert_eq!(b.axlen(), 3);
-        assert_eq!(b.axsize(), 3);
+        let b = Burst::new(0x100, 4, 8).unwrap();
+        assert_eq!(b.num_beats(), 4);
+        assert_eq!(b.beat_bytes(), 8);
         assert_eq!(b.payload_bytes(), 32);
         assert_eq!(b.beat_addr(0), 0x100);
         assert_eq!(b.beat_addr(3), 0x118);
@@ -282,76 +183,93 @@ mod tests {
 
     #[test]
     fn incr_max_256_beats() {
-        assert!(Burst::new(0, 256, 4, BurstType::Incr).is_ok());
+        assert!(Burst::new(0, 256, 4).is_ok());
         assert!(matches!(
-            Burst::new(0, 257, 4, BurstType::Incr),
-            Err(BurstError::BeatCount { beats: 257, .. })
+            Burst::new(0, 257, 4),
+            Err(BurstError::BeatCount(257))
         ));
     }
 
     #[test]
-    fn fixed_max_16_beats() {
-        assert!(Burst::new(0, 16, 4, BurstType::Fixed).is_ok());
-        assert!(Burst::new(0, 17, 4, BurstType::Fixed).is_err());
+    fn zero_beats_rejected() {
+        assert_eq!(Burst::new(0, 0, 4), Err(BurstError::BeatCount(0)));
     }
 
     #[test]
-    fn wrap_beat_counts() {
-        for beats in [2u64, 4, 8, 16] {
-            assert!(Burst::new(0x40, beats, 4, BurstType::Wrap).is_ok());
+    fn covering_beyond_256_beats_rejected() {
+        assert_eq!(Burst::incr_covering(0, 1024, 4).unwrap().num_beats(), 256);
+        // One byte of start misalignment pushes the same span to 257 beats.
+        assert_eq!(
+            Burst::incr_covering(1, 1024, 4),
+            Err(BurstError::BeatCount(257))
+        );
+        assert_eq!(
+            Burst::incr_covering(0, 1025, 4),
+            Err(BurstError::BeatCount(257))
+        );
+    }
+
+    #[test]
+    fn covering_rejects_bad_beat_sizes() {
+        for bad in [0, 3, 256] {
+            assert_eq!(
+                Burst::incr_covering(0, 16, bad),
+                Err(BurstError::BeatSize(bad))
+            );
         }
-        for beats in [1u64, 3, 5, 32] {
-            assert!(Burst::new(0x40, beats, 4, BurstType::Wrap).is_err());
-        }
     }
 
     #[test]
-    fn wrap_alignment_enforced() {
-        assert!(matches!(
-            Burst::new(0x41, 4, 4, BurstType::Wrap),
-            Err(BurstError::WrapUnaligned { addr: 0x41 })
-        ));
+    fn single_byte_covering_is_one_beat() {
+        let b = Burst::incr_covering(0x7F, 1, 64).unwrap();
+        assert_eq!(b.num_beats(), 1);
+        assert_eq!(b.payload_bytes(), 1);
+        assert_eq!(b.last_byte(), 0x7F);
+        assert!(!b.crosses_4k_boundary());
     }
 
     #[test]
-    fn wrap_addresses_wrap_around() {
-        // 4 beats × 4 B container = 16 B; start mid-container.
-        let b = Burst::new(0x48, 4, 4, BurstType::Wrap).unwrap();
-        assert_eq!(b.beat_addr(0), 0x48);
-        assert_eq!(b.beat_addr(1), 0x4C);
-        assert_eq!(b.beat_addr(2), 0x40); // wrapped
-        assert_eq!(b.beat_addr(3), 0x44);
-        assert_eq!(b.last_byte(), 0x4F);
+    #[should_panic(expected = "beat index out of range")]
+    fn beat_addr_past_the_last_beat_panics() {
+        let _ = Burst::new(0, 4, 8).unwrap().beat_addr(4);
     }
 
     #[test]
-    fn fixed_addresses_constant() {
-        let b = Burst::new(0x200, 4, 8, BurstType::Fixed).unwrap();
-        for i in 0..4 {
-            assert_eq!(b.beat_addr(i), 0x200);
-        }
+    fn errors_display_the_rejected_value() {
+        assert_eq!(
+            BurstError::BeatSize(3).to_string(),
+            "beat size 3 invalid (power of two ≤ 128)"
+        );
+        assert_eq!(
+            BurstError::BeatCount(257).to_string(),
+            "257 beats illegal for an INCR burst"
+        );
     }
 
     #[test]
     fn boundary_detection() {
-        let ok = Burst::new(0xF00, 64, 4, BurstType::Incr).unwrap();
+        let ok = Burst::new(0xF00, 64, 4).unwrap();
         assert!(!ok.crosses_4k_boundary()); // ends at 0xFFF
-        let bad = Burst::new(0xF01, 64, 4, BurstType::Incr).unwrap();
+        let bad = Burst::new(0xF01, 64, 4).unwrap();
         assert!(bad.crosses_4k_boundary());
     }
 
     #[test]
-    fn rejects_bad_beat_sizes() {
-        assert!(Burst::new(0, 1, 0, BurstType::Incr).is_err());
-        assert!(Burst::new(0, 1, 3, BurstType::Incr).is_err());
-        assert!(Burst::new(0, 1, 256, BurstType::Incr).is_err());
-        assert!(Burst::new(0, 1, 128, BurstType::Incr).is_ok()); // 1024-bit bus
+    fn unaligned_boundary_detection() {
+        // Three bytes from 0xFFD end at 0xFFF; a fourth lands on 0x1000.
+        assert!(!Burst::incr_covering(0xFFD, 3, 8)
+            .unwrap()
+            .crosses_4k_boundary());
+        assert!(Burst::incr_covering(0xFFD, 4, 8)
+            .unwrap()
+            .crosses_4k_boundary());
     }
 
     #[test]
-    fn display_burst_type() {
-        assert_eq!(BurstType::Incr.to_string(), "INCR");
-        assert_eq!(BurstType::Wrap.to_string(), "WRAP");
-        assert_eq!(BurstType::Fixed.to_string(), "FIXED");
+    fn rejects_bad_beat_sizes() {
+        assert!(Burst::new(0, 1, 0).is_err());
+        assert!(Burst::new(0, 1, 3).is_err());
+        assert!(Burst::new(0, 1, 256).is_err());
+        assert!(Burst::new(0, 1, 128).is_ok()); // 1024-bit bus
     }
 }

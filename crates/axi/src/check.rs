@@ -2,11 +2,12 @@
 //!
 //! [`check_burst_sequence`] verifies that a burst list produced by a DMA
 //! engine (or by [`crate::split::split_transfer`]) is a legal, complete and
-//! contiguous covering of a transfer. It is used by the test suites of every
-//! simulator crate and by the property tests; in a hardware flow this is the
-//! role a bus protocol checker plays in the testbench.
+//! contiguous covering of a transfer. Only this crate's unit and property
+//! tests call it: they hold the splitter the DMA engines use to these
+//! rules. In a hardware flow this is the role a bus protocol checker plays
+//! in the testbench.
 
-use crate::burst::{Burst, BurstType};
+use crate::burst::Burst;
 use crate::MAX_INCR_BEATS;
 use std::fmt;
 
@@ -43,13 +44,6 @@ pub enum Violation {
         /// Actual total bytes.
         actual: u64,
     },
-    /// A non-INCR burst appeared in DMA traffic.
-    NotIncr {
-        /// Index of the offending burst.
-        index: usize,
-        /// Its burst type.
-        burst: BurstType,
-    },
 }
 
 impl fmt::Display for Violation {
@@ -72,9 +66,6 @@ impl fmt::Display for Violation {
             Self::WrongTotal { expected, actual } => {
                 write!(f, "total payload {actual} bytes, expected {expected}")
             }
-            Self::NotIncr { index, burst } => {
-                write!(f, "burst {index} is {burst}, expected INCR")
-            }
         }
     }
 }
@@ -89,12 +80,6 @@ pub fn check_burst_sequence(addr: u64, len: u64, bursts: &[Burst]) -> Vec<Violat
     let mut cursor = addr;
     let mut total = 0u64;
     for (i, b) in bursts.iter().enumerate() {
-        if b.burst_type() != BurstType::Incr {
-            violations.push(Violation::NotIncr {
-                index: i,
-                burst: b.burst_type(),
-            });
-        }
         if b.num_beats() > MAX_INCR_BEATS {
             violations.push(Violation::TooManyBeats {
                 index: i,
@@ -159,17 +144,38 @@ mod tests {
     }
 
     #[test]
+    fn detects_overlap() {
+        let first = Burst::new(0x100, 4, 8).unwrap();
+        let overlapping = Burst::new(0x110, 4, 8).unwrap();
+        let v = check_burst_sequence(0x100, 64, &[first, overlapping]);
+        assert_eq!(
+            v,
+            vec![Violation::Gap {
+                index: 1,
+                expected: 0x120,
+                actual: 0x110,
+            }]
+        );
+    }
+
+    #[test]
+    fn detects_missing_tail() {
+        let mut bursts = split_transfer(0, 4096, 4);
+        bursts.pop();
+        assert_eq!(
+            check_burst_sequence(0, 4096, &bursts),
+            vec![Violation::WrongTotal {
+                expected: 4096,
+                actual: 3072,
+            }]
+        );
+    }
+
+    #[test]
     fn detects_4k_crossing() {
         let bad = Burst::incr_covering(0xF00, 512, 4).unwrap();
         let v = check_burst_sequence(0xF00, 512, &[bad]);
         assert!(v.iter().any(|x| matches!(x, Violation::Crosses4k { .. })));
-    }
-
-    #[test]
-    fn detects_wrong_type() {
-        let b = Burst::new(0x40, 4, 4, BurstType::Wrap).unwrap();
-        let v = check_burst_sequence(0x40, 16, &[b]);
-        assert!(v.iter().any(|x| matches!(x, Violation::NotIncr { .. })));
     }
 
     #[test]
@@ -184,5 +190,23 @@ mod tests {
         for violation in v {
             assert!(!violation.to_string().is_empty());
         }
+    }
+
+    #[test]
+    fn violation_messages_name_burst_and_address() {
+        let crossing = Violation::Crosses4k {
+            index: 2,
+            addr: 0xF00,
+        };
+        assert_eq!(
+            crossing.to_string(),
+            "burst 2 at 0xf00 crosses a 4 KiB boundary"
+        );
+        let gap = Violation::Gap {
+            index: 1,
+            expected: 0x120,
+            actual: 0x110,
+        };
+        assert_eq!(gap.to_string(), "burst 1 starts at 0x110, expected 0x120");
     }
 }

@@ -11,16 +11,17 @@
 //! * [`params::AxiParams`] / [`params::ConfigError`] — the design-time
 //!   parameter space of Table I (address width, data width, ID width,
 //!   maximum outstanding transactions) with validation.
-//! * [`burst`] — burst descriptors (`FIXED`/`INCR`/`WRAP`), beat geometry and
-//!   the AXI legality rules (4 KiB boundary, ≤256 beats for `INCR`).
+//! * [`burst`] — `INCR` burst descriptors, the only burst type DMA traffic
+//!   uses: beat geometry and the AXI legality rules (4 KiB boundary,
+//!   ≤256 beats).
 //! * [`split`] — splitting an arbitrarily long DMA transfer into a sequence
 //!   of AXI-compliant bursts, exactly what the paper's DMA-engine RTL model
 //!   does ("adhering to address boundaries and max number of beats", §IV).
 //! * [`id`] — ID remapping tables (`axi_id_remap`) that give crosspoints
-//!   isomorphic ports, and outstanding-transaction accounting.
-//! * [`addr`] — address maps and the region decode used to build each XP's
-//!   routing table.
-//! * [`check`] — a compliance checker used by tests and property tests.
+//!   isomorphic ports, and outstanding-transaction accounting with same-ID
+//!   ordering.
+//! * [`check`] — a burst-sequence checker the unit and property tests hold
+//!   the splitter to.
 //!
 //! ## Example: split a 10 KiB DMA transfer into legal bursts
 //!
@@ -37,15 +38,13 @@
 //! assert_eq!(total, 10 * 1024);
 //! ```
 
-pub mod addr;
 pub mod burst;
 pub mod check;
 pub mod id;
 pub mod params;
 pub mod split;
 
-pub use addr::AddressMap;
-pub use burst::{Burst, BurstType};
+pub use burst::Burst;
 pub use id::{AxiId, IdRemapper};
 pub use params::{AxiParams, ConfigError};
 pub use split::{split_transfer, SplitCursor};

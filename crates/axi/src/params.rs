@@ -22,8 +22,8 @@ pub enum ConfigError {
         /// The topology's capacity (N×M for the default mesh).
         capacity: usize,
     },
-    /// A testbench knob that must be non-zero was zero (e.g. link register
-    /// stages, region size, DMA descriptor-queue depth).
+    /// A testbench knob that must be non-zero was zero (link register
+    /// stages or region size).
     ZeroParameter(&'static str),
     /// An endpoint placement list (`"masters"` or `"slaves"`) repeats a
     /// node or is not in ascending node order.

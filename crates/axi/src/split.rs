@@ -146,45 +146,9 @@ impl Iterator for SplitCursor {
     }
 }
 
-/// Splits a transfer with an additional user-imposed cap on the bytes per
-/// burst, as used by the paper's burst-length sweeps ("Burst size < 4",
-/// "< 100", ..., "< 64000"). `max_burst_bytes` is clamped to at least one
-/// byte.
-#[must_use]
-pub fn split_transfer_capped(
-    addr: u64,
-    len: u64,
-    beat_bytes: u64,
-    max_burst_bytes: u64,
-) -> Vec<Burst> {
-    let cap = max_burst_bytes.max(1);
-    let mut bursts = Vec::new();
-    let mut cur = addr;
-    let mut remaining = len;
-    while remaining > 0 {
-        let chunk = remaining.min(cap);
-        bursts.extend(split_transfer(cur, chunk, beat_bytes));
-        cur += chunk;
-        remaining -= chunk;
-    }
-    bursts
-}
-
-/// Total number of data beats needed for a transfer after splitting —
-/// cheaper than materializing the burst list when only accounting matters.
-#[must_use]
-pub fn transfer_beats(addr: u64, len: u64, beat_bytes: u64) -> u64 {
-    if len == 0 {
-        return 0;
-    }
-    let offset = addr % beat_bytes;
-    (offset + len).div_ceil(beat_bytes)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::burst::BurstType;
 
     fn check_invariants(addr: u64, len: u64, _beat_bytes: u64, bursts: &[Burst]) {
         let total: u64 = bursts.iter().map(Burst::payload_bytes).sum();
@@ -192,7 +156,6 @@ mod tests {
         let mut cur = addr;
         for b in bursts {
             assert_eq!(b.addr(), cur, "contiguous");
-            assert_eq!(b.burst_type(), BurstType::Incr);
             assert!(b.num_beats() <= MAX_INCR_BEATS);
             assert!(
                 !b.crosses_4k_boundary(),
@@ -251,38 +214,55 @@ mod tests {
     }
 
     #[test]
-    fn capped_split_respects_cap() {
-        let bursts = split_transfer_capped(0, 1000, 4, 100);
-        check_invariants(0, 1000, 4, &bursts);
-        assert!(bursts.iter().all(|b| b.payload_bytes() <= 100));
-        assert_eq!(bursts.len(), 10);
+    fn transfer_ending_on_a_boundary_is_one_burst() {
+        assert_eq!(split_transfer(0xF00, 256, 4).len(), 1);
+        let bursts = split_transfer(0xF00, 257, 4);
+        assert_eq!(bursts.len(), 2);
+        assert_eq!(bursts[1].addr(), 0x1000);
+        assert_eq!(bursts[1].payload_bytes(), 1);
     }
 
     #[test]
-    fn cap_of_zero_clamps_to_one_byte() {
-        let bursts = split_transfer_capped(0, 4, 4, 0);
-        assert_eq!(bursts.len(), 4);
-        check_invariants(0, 4, 4, &bursts);
+    fn misaligned_start_shortens_the_first_full_burst() {
+        // 256 beats from byte 1 of a 4-byte bus hold 1023 payload bytes;
+        // the next burst starts bus-aligned.
+        let bursts = split_transfer(1, 2000, 4);
+        assert_eq!(bursts[0].num_beats(), 256);
+        assert_eq!(bursts[0].payload_bytes(), 1023);
+        assert_eq!(bursts[1].addr(), 1024);
+        check_invariants(1, 2000, 4, &bursts);
     }
 
     #[test]
-    fn transfer_beats_matches_split() {
-        for &(addr, len, bb) in &[
-            (0u64, 4096u64, 4u64),
-            (0x103, 999, 8),
-            (0xFFF, 2, 64),
-            (7, 1, 4),
-        ] {
-            let split_total: u64 = split_transfer(addr, len, bb)
-                .iter()
-                .map(Burst::num_beats)
-                .sum();
-            assert_eq!(
-                split_total,
-                transfer_beats(addr, len, bb),
-                "{addr:#x}+{len}"
-            );
+    fn cursor_resumes_from_its_parts() {
+        let mut cursor = SplitCursor::new(0x1003, 10_000, 8);
+        let head: Vec<Burst> = cursor.by_ref().take(2).collect();
+        let (cur, remaining, beat_bytes) = cursor.parts();
+        let resumed = SplitCursor::from_parts(cur, remaining, beat_bytes).unwrap();
+        let mut whole = head;
+        whole.extend(resumed);
+        assert_eq!(whole, split_transfer(0x1003, 10_000, 8));
+    }
+
+    #[test]
+    fn from_parts_rejects_invalid_bus_widths() {
+        for bad in [0, 3, 256] {
+            assert!(SplitCursor::from_parts(0, 64, bad).is_err());
         }
+        assert!(SplitCursor::from_parts(0, 64, 128).is_ok());
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid bus width")]
+    fn cursor_rejects_invalid_bus_width() {
+        let _ = SplitCursor::new(0, 64, 12);
+    }
+
+    #[test]
+    fn empty_cursor_yields_nothing() {
+        let mut cursor = SplitCursor::empty();
+        assert!(cursor.is_done());
+        assert_eq!(cursor.next(), None);
     }
 
     #[test]

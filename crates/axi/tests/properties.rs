@@ -1,8 +1,9 @@
 //! Property-based tests for the AXI protocol model.
 
+use axi::burst::BurstError;
 use axi::check::check_burst_sequence;
-use axi::split::{split_transfer, split_transfer_capped, transfer_beats, SplitCursor};
-use axi::{AddressMap, Burst, BurstType};
+use axi::split::{split_transfer, SplitCursor};
+use axi::Burst;
 use proptest::prelude::*;
 
 fn bus_widths() -> impl Strategy<Value = u64> {
@@ -20,38 +21,6 @@ proptest! {
         let bursts = split_transfer(addr, len, bb);
         let violations = check_burst_sequence(addr, len, &bursts);
         prop_assert!(violations.is_empty(), "violations: {violations:?}");
-    }
-
-    /// The capped splitter never emits a burst above the cap and still
-    /// covers the transfer exactly.
-    #[test]
-    fn capped_split_compliant_and_capped(
-        addr in 0u64..0x1000_0000,
-        len in 0u64..100_000,
-        bb in bus_widths(),
-        cap in 1u64..70_000,
-    ) {
-        let bursts = split_transfer_capped(addr, len, bb, cap);
-        prop_assert!(check_burst_sequence(addr, len, &bursts).is_empty());
-        prop_assert!(bursts.iter().all(|b| b.payload_bytes() <= cap));
-    }
-
-    /// Beat accounting shortcut agrees with materialized splitting when a
-    /// single burst spans the transfer (no boundary effects), and is a lower
-    /// bound in general (splitting can only add partial beats).
-    #[test]
-    fn transfer_beats_is_lower_bound(
-        addr in 0u64..0x1000_0000,
-        len in 1u64..100_000,
-        bb in bus_widths(),
-    ) {
-        let exact: u64 = split_transfer(addr, len, bb).iter().map(Burst::num_beats).sum();
-        let lower = transfer_beats(addr, len, bb);
-        prop_assert!(lower <= exact);
-        // They differ only by boundary-induced beat fragmentation: at most
-        // one extra beat per burst.
-        let n = split_transfer(addr, len, bb).len() as u64;
-        prop_assert!(exact <= lower + n);
     }
 
     /// The incremental cursor is position-local: after consuming any
@@ -82,6 +51,75 @@ proptest! {
         prop_assert_eq!(cursor.is_done(), k == batch.len());
     }
 
+    /// The split is greedy: every burst but the last ends either on a 4 KiB
+    /// boundary or at the 256-beat limit, so no two neighbours could merge.
+    #[test]
+    fn split_bursts_are_maximal(
+        addr in 0u64..0x1_0000_0000,
+        len in 0u64..200_000,
+        bb in bus_widths(),
+    ) {
+        let bursts = split_transfer(addr, len, bb);
+        for b in bursts.iter().rev().skip(1) {
+            let ends_on_boundary = (b.last_byte() + 1) % 4096 == 0;
+            prop_assert!(
+                ends_on_boundary || b.num_beats() == 256,
+                "burst at {:#x} ends short of both limits", b.addr()
+            );
+        }
+    }
+
+    /// Only the first burst may start mid-beat and only the last may end
+    /// mid-beat, so the split moves exactly the beats of the transfer's
+    /// bus-aligned span.
+    #[test]
+    fn split_adds_no_beats_beyond_the_aligned_span(
+        addr in 0u64..0x1_0000_0000,
+        len in 1u64..200_000,
+        bb in bus_widths(),
+    ) {
+        let beats: u64 = split_transfer(addr, len, bb).iter().map(Burst::num_beats).sum();
+        prop_assert_eq!(beats, (addr % bb + len).div_ceil(bb));
+    }
+
+    /// Dropping any burst of a multi-burst split is caught by the checker.
+    #[test]
+    fn checker_flags_any_dropped_burst(
+        addr in 0u64..0x1_0000_0000,
+        len in 4097u64..200_000,
+        bb in bus_widths(),
+        pick in 0usize..1000,
+    ) {
+        let mut bursts = split_transfer(addr, len, bb);
+        prop_assert!(bursts.len() >= 2);
+        bursts.remove(pick % bursts.len());
+        prop_assert!(!check_burst_sequence(addr, len, &bursts).is_empty());
+    }
+
+    /// An unaligned INCR burst covers its payload in the fewest beats, or is
+    /// refused with that beat count when it needs more than 256.
+    #[test]
+    fn incr_covering_spans_exactly_its_payload(
+        addr in 0u64..0x1_0000_0000,
+        payload in 1u64..40_000,
+        bb in bus_widths(),
+    ) {
+        let needed = (addr % bb + payload).div_ceil(bb);
+        match Burst::incr_covering(addr, payload, bb) {
+            Ok(b) => {
+                prop_assert_eq!(b.num_beats(), needed);
+                prop_assert_eq!(b.last_byte(), addr + payload - 1);
+                let last_beat = b.beat_addr(needed - 1);
+                prop_assert!(last_beat <= b.last_byte());
+                prop_assert!(b.last_byte() < last_beat - last_beat % bb + bb);
+            }
+            Err(e) => {
+                prop_assert!(needed > 256);
+                prop_assert_eq!(e, BurstError::BeatCount(needed));
+            }
+        }
+    }
+
     /// Every beat address of an INCR burst stays within the burst's span and
     /// increases monotonically.
     #[test]
@@ -90,7 +128,7 @@ proptest! {
         beats in 1u64..=256,
         bb in bus_widths(),
     ) {
-        let Ok(b) = Burst::new(addr, beats, bb, BurstType::Incr) else {
+        let Ok(b) = Burst::new(addr, beats, bb) else {
             return Ok(());
         };
         let mut prev = None;
@@ -102,43 +140,5 @@ proptest! {
             }
             prev = Some(a);
         }
-    }
-
-    /// Wrap bursts visit exactly the container's beat-aligned addresses.
-    #[test]
-    fn wrap_visits_whole_container(
-        slot in 0u64..1000,
-        beats in prop::sample::select(vec![2u64, 4, 8, 16]),
-        bb in bus_widths(),
-        start_beat in 0u64..16,
-    ) {
-        let container = beats * bb;
-        let base = slot * container;
-        let addr = base + (start_beat % beats) * bb;
-        let b = Burst::new(addr, beats, bb, BurstType::Wrap).unwrap();
-        let mut visited: Vec<u64> = (0..beats).map(|i| b.beat_addr(i)).collect();
-        visited.sort_unstable();
-        let expected: Vec<u64> = (0..beats).map(|i| base + i * bb).collect();
-        prop_assert_eq!(visited, expected);
-    }
-
-    /// Uniform address maps decode every in-range address to the right
-    /// endpoint and reject out-of-range addresses.
-    #[test]
-    fn uniform_map_decode_consistent(
-        n in 1usize..64,
-        log_size in 10u32..24,
-        probe in 0u64..(1u64 << 32),
-    ) {
-        let size = 1u64 << log_size;
-        let base = 0x8000_0000u64;
-        let map = AddressMap::uniform(n, size, base);
-        let decoded = map.decode(probe);
-        let expected = if probe >= base && probe < base + n as u64 * size {
-            Some(((probe - base) / size) as usize)
-        } else {
-            None
-        };
-        prop_assert_eq!(decoded, expected);
     }
 }

@@ -23,7 +23,7 @@
 
 use bench::defaults::{WARMUP, WINDOW};
 use bench::json::Json;
-use bench::perf::{mode_json, run_packet, run_patronoc, telemetry_is_live, Runner, StepMode};
+use bench::perf::{mode_json, run_packet, run_patronoc, telemetry_is_live, Runner};
 use bench::sweep::SweepOptions;
 
 fn main() {
@@ -56,10 +56,10 @@ fn main() {
     // Best-of-3 wall clock per mode: each repetition is a fresh engine on
     // the identical workload, so the reports must agree bit for bit and
     // the fastest run is the least-interfered measurement.
-    let best_of = |runner: Runner, load: f64, mode: StepMode| {
-        let mut best = runner(load, window, warmup, mode);
+    let best_of = |runner: Runner, load: f64, full_sweep: bool| {
+        let mut best = runner(load, window, warmup, full_sweep);
         for _ in 1..3 {
-            let next = runner(load, window, warmup, mode);
+            let next = runner(load, window, warmup, full_sweep);
             assert_eq!(
                 next.report, best.report,
                 "repeated identical runs must agree"
@@ -76,8 +76,8 @@ fn main() {
     let mut skipping_live = true;
     for (name, runner) in engines {
         for &load in &loads {
-            let full = best_of(runner, load, StepMode::full());
-            let active = best_of(runner, load, StepMode::active());
+            let full = best_of(runner, load, true);
+            let active = best_of(runner, load, false);
             // Dead-feature guard: the near-idle point must actually skip —
             // a zero here means the horizon logic silently stopped firing.
             if load == loads[0] {

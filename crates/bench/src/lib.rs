@@ -2,13 +2,13 @@
 //!
 //! Each `bin/` target regenerates one table or figure of the paper; the
 //! heavy lifting lives here so the integration tests can exercise the same
-//! code paths with reduced cycle budgets. Every point-runner is a thin
-//! wrapper that builds a [`scenario::Scenario`] — one inspectable value
-//! naming engine × topology × traffic × stop condition × seed — and runs
-//! it; sweep grids are grids of such scenarios executed in parallel
-//! through [`sweep`] (every point carries a coordinate-derived seed), and
-//! results can be emitted as JSON artifacts through [`json`]. The full
-//! methodology is recorded in `EXPERIMENTS.md` at the repository root.
+//! code paths with reduced cycle budgets. Each `*_scenario` function
+//! builds one figure point as a [`scenario::Scenario`] — one inspectable
+//! value naming engine × topology × traffic × stop condition × seed; sweep
+//! grids are grids of such scenarios executed in parallel through
+//! [`sweep`] (every point carries a coordinate-derived seed), and results
+//! can be emitted as JSON artifacts through [`json`]. The full methodology
+//! is recorded in `EXPERIMENTS.md` at the repository root.
 
 use scenario::{PacketProfile, Scenario, TrafficSpec};
 use simkit::StopReason;
@@ -63,19 +63,6 @@ pub mod defaults {
     }
 }
 
-/// One measured point: injected load vs throughput.
-///
-/// `PartialEq` compares the floats exactly (bit-for-bit modulo `-0.0`),
-/// which is the contract the determinism tests assert across `--jobs`
-/// values.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LoadPoint {
-    /// Offered load (fraction of one bus width per cycle per master).
-    pub load: f64,
-    /// Measured aggregate throughput in GiB/s.
-    pub gib_s: f64,
-}
-
 /// The scenario of one Fig. 4 PATRONoC point: the 4×4 mesh under uniform
 /// random memory-to-memory copies ("a random burst length with a random
 /// source and destination address", §IV — the payload crosses the NoC
@@ -97,22 +84,6 @@ pub fn patronoc_uniform_scenario(
         .seed(seed)
 }
 
-/// Runs the 4×4 PATRONoC under uniform random traffic (one Fig. 4 point).
-#[must_use]
-pub fn patronoc_uniform_point(
-    dw_bits: u32,
-    load: f64,
-    max_transfer: u64,
-    window: u64,
-    warmup: u64,
-    seed: u64,
-) -> f64 {
-    patronoc_uniform_scenario(dw_bits, load, max_transfer, window, warmup, seed)
-        .run()
-        .expect("valid scenario")
-        .throughput_gib_s
-}
-
 /// The scenario of one Fig. 4 baseline point: the Noxim-style packet NoC
 /// under the same uniform random traffic. The baseline has no burst
 /// support — transfer length only affects how many fixed packets the NI
@@ -132,58 +103,6 @@ pub fn noxim_uniform_scenario(
         .warmup(warmup)
         .window(window)
         .seed(seed)
-}
-
-/// Runs the Noxim-style baseline under uniform random traffic.
-#[must_use]
-pub fn noxim_uniform_point(
-    profile: PacketProfile,
-    load: f64,
-    max_transfer: u64,
-    window: u64,
-    warmup: u64,
-    seed: u64,
-) -> f64 {
-    noxim_uniform_scenario(profile, load, max_transfer, window, warmup, seed)
-        .run()
-        .expect("valid scenario")
-        .throughput_gib_s
-}
-
-/// Sweeps injected load for PATRONoC at one burst cap across `jobs` worker
-/// threads. The grid is a `Vec` of [`Scenario`] values, each seeded by
-/// [`defaults::fig4_patronoc_seed`], and results come back in load order,
-/// so the returned curve is identical for every `jobs` value.
-#[must_use]
-pub fn patronoc_uniform_curve_jobs(
-    dw_bits: u32,
-    max_transfer: u64,
-    loads: &[f64],
-    window: u64,
-    warmup: u64,
-    jobs: usize,
-) -> Vec<LoadPoint> {
-    let scenarios: Vec<(f64, Scenario)> = loads
-        .iter()
-        .enumerate()
-        .map(|(i, &load)| {
-            (
-                load,
-                patronoc_uniform_scenario(
-                    dw_bits,
-                    load,
-                    max_transfer,
-                    window,
-                    warmup,
-                    defaults::fig4_patronoc_seed(max_transfer, i),
-                ),
-            )
-        })
-        .collect();
-    sweep::run_points(jobs, &scenarios, |(load, sc)| LoadPoint {
-        load: *load,
-        gib_s: sc.run().expect("valid scenario").throughput_gib_s,
-    })
 }
 
 /// Result of one synthetic-pattern run (one Fig. 6 bar).
@@ -235,21 +154,6 @@ pub fn utilization_point(scenario: &Scenario, burst_cap: u64) -> UtilizationPoin
         gib_s: report.throughput_gib_s,
         utilization_pct: 100.0 * report.throughput_gib_s / capacity_gib,
     }
-}
-
-/// Runs one synthetic pattern at maximum injected load (Fig. 6).
-#[must_use]
-pub fn synthetic_point(
-    dw_bits: u32,
-    pattern: SyntheticPattern,
-    burst_cap: u64,
-    window: u64,
-    warmup: u64,
-) -> UtilizationPoint {
-    utilization_point(
-        &synthetic_scenario(dw_bits, pattern, burst_cap, window, warmup),
-        burst_cap,
-    )
 }
 
 /// Result of one DNN workload run (one Fig. 8 bar).
@@ -305,12 +209,6 @@ pub fn dnn_point_for(scenario: &Scenario, workload: DnnWorkload) -> DnnPoint {
     }
 }
 
-/// Runs one DNN workload trace on the 4×4 mesh (Fig. 8).
-#[must_use]
-pub fn dnn_point(dw_bits: u32, workload: DnnWorkload, steps: usize) -> DnnPoint {
-    dnn_point_for(&dnn_scenario(dw_bits, workload, steps), workload)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -318,18 +216,42 @@ mod tests {
     const QUICK_WINDOW: u64 = 20_000;
     const QUICK_WARMUP: u64 = 4_000;
 
+    fn gib_s(scenario: &Scenario) -> f64 {
+        scenario.run().expect("valid scenario").throughput_gib_s
+    }
+
+    fn patronoc(load: f64, max_transfer: u64, seed: u64) -> f64 {
+        gib_s(&patronoc_uniform_scenario(
+            32,
+            load,
+            max_transfer,
+            QUICK_WINDOW,
+            QUICK_WARMUP,
+            seed,
+        ))
+    }
+
+    fn noxim(profile: PacketProfile, max_transfer: u64, seed: u64) -> f64 {
+        gib_s(&noxim_uniform_scenario(
+            profile,
+            1.0,
+            max_transfer,
+            QUICK_WINDOW,
+            QUICK_WARMUP,
+            seed,
+        ))
+    }
+
+    fn synthetic(pattern: SyntheticPattern, burst_cap: u64) -> UtilizationPoint {
+        let sc = synthetic_scenario(32, pattern, burst_cap, QUICK_WINDOW, QUICK_WARMUP);
+        utilization_point(&sc, burst_cap)
+    }
+
     #[test]
     fn slim_small_bursts_match_noxim_scale() {
         // Fig. 4 crossover: at ≤4 B bursts, PATRONoC ≈ Noxim ≈ 1.5–2.3 GiB/s.
-        let patronoc = patronoc_uniform_point(32, 1.0, 4, QUICK_WINDOW, QUICK_WARMUP, 1);
-        let noxim = noxim_uniform_point(
-            PacketProfile::Compact,
-            1.0,
-            4,
-            QUICK_WINDOW,
-            QUICK_WARMUP,
-            1,
-        );
+        let patronoc = patronoc(1.0, 4, 1);
+        let noxim = noxim(PacketProfile::Compact, 4, 1);
         assert!(
             (0.5..6.0).contains(&patronoc),
             "patronoc small-burst {patronoc}"
@@ -344,15 +266,8 @@ mod tests {
     #[test]
     fn slim_large_bursts_beat_noxim_severalfold() {
         // Fig. 4 headline: ≥8× at 10–64 KiB bursts.
-        let patronoc = patronoc_uniform_point(32, 1.0, 10_000, QUICK_WINDOW, QUICK_WARMUP, 2);
-        let noxim = noxim_uniform_point(
-            PacketProfile::HighPerformance,
-            1.0,
-            10_000,
-            QUICK_WINDOW,
-            QUICK_WARMUP,
-            2,
-        );
+        let patronoc = patronoc(1.0, 10_000, 2);
+        let noxim = noxim(PacketProfile::HighPerformance, 10_000, 2);
         assert!(
             patronoc > 4.0 * noxim,
             "patronoc {patronoc} vs noxim {noxim}"
@@ -361,9 +276,9 @@ mod tests {
 
     #[test]
     fn throughput_increases_with_load_then_saturates() {
-        let lo = patronoc_uniform_point(32, 0.01, 1000, QUICK_WINDOW, QUICK_WARMUP, 3);
-        let mid = patronoc_uniform_point(32, 0.2, 1000, QUICK_WINDOW, QUICK_WARMUP, 3);
-        let hi = patronoc_uniform_point(32, 1.0, 1000, QUICK_WINDOW, QUICK_WARMUP, 3);
+        let lo = patronoc(0.01, 1000, 3);
+        let mid = patronoc(0.2, 1000, 3);
+        let hi = patronoc(1.0, 1000, 3);
         assert!(lo < mid, "lo {lo} mid {mid}");
         assert!(mid <= hi * 1.2, "mid {mid} hi {hi}");
     }
@@ -375,13 +290,7 @@ mod tests {
         // equal to the 16-master injection ceiling) anchors it at ≤ 100 %.
         // Max-1-hop at the largest cap is the highest-throughput point of
         // the whole Fig. 6 grid.
-        let p = synthetic_point(
-            32,
-            SyntheticPattern::MaxSingleHop,
-            64_000,
-            QUICK_WINDOW,
-            QUICK_WARMUP,
-        );
+        let p = synthetic(SyntheticPattern::MaxSingleHop, 64_000);
         assert!(
             p.utilization_pct > 20.0 && p.utilization_pct <= 100.0,
             "utilization {}",
@@ -392,27 +301,9 @@ mod tests {
     #[test]
     fn synthetic_ordering_matches_fig6() {
         // 1-hop > 2-hop > all-global at large bursts.
-        let global = synthetic_point(
-            32,
-            SyntheticPattern::AllGlobal,
-            10_000,
-            QUICK_WINDOW,
-            QUICK_WARMUP,
-        );
-        let two = synthetic_point(
-            32,
-            SyntheticPattern::MaxTwoHop,
-            10_000,
-            QUICK_WINDOW,
-            QUICK_WARMUP,
-        );
-        let one = synthetic_point(
-            32,
-            SyntheticPattern::MaxSingleHop,
-            10_000,
-            QUICK_WINDOW,
-            QUICK_WARMUP,
-        );
+        let global = synthetic(SyntheticPattern::AllGlobal, 10_000);
+        let two = synthetic(SyntheticPattern::MaxTwoHop, 10_000);
+        let one = synthetic(SyntheticPattern::MaxSingleHop, 10_000);
         assert!(
             one.gib_s > two.gib_s && two.gib_s > global.gib_s,
             "1hop {} 2hop {} global {}",
@@ -430,7 +321,10 @@ mod tests {
         let report = scenario.run().expect("valid scenario");
         assert_eq!(report.stop_reason, StopReason::Budget);
         // And the full-budget point completes.
-        let p = dnn_point(512, DnnWorkload::PipelinedConv, 1);
+        let p = dnn_point_for(
+            &dnn_scenario(512, DnnWorkload::PipelinedConv, 1),
+            DnnWorkload::PipelinedConv,
+        );
         assert!(p.completed(), "stop reason {:?}", p.stop_reason);
     }
 }

@@ -20,39 +20,18 @@ pub struct ModeResult {
     pub work_items: u64,
 }
 
-/// The stepping discipline of one perf run: the activity-driven vs
-/// `full_sweep` axis the sweep compares.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StepMode {
-    /// Step every component every cycle and never skip idle time (the
-    /// reference discipline); otherwise activity-driven with event-horizon
-    /// time skipping.
-    pub full_sweep: bool,
-}
-
-impl StepMode {
-    /// Activity-driven stepping with time skipping.
-    #[must_use]
-    pub fn active() -> Self {
-        Self { full_sweep: false }
-    }
-
-    /// The full-sweep reference (never skips).
-    #[must_use]
-    pub fn full() -> Self {
-        Self { full_sweep: true }
-    }
-}
-
-/// A point runner: `(load, window, warmup, mode) → result`.
-pub type Runner = fn(f64, u64, u64, StepMode) -> ModeResult;
+/// A point runner: `(load, window, warmup, full_sweep) → result`. With
+/// `full_sweep` set the engine steps every component every cycle and never
+/// skips idle time (the reference discipline); otherwise it is
+/// activity-driven with event-horizon time skipping.
+pub type Runner = fn(f64, u64, u64, bool) -> ModeResult;
 
 /// One PATRONoC perf point (uniform copies on the slim 4×4).
 #[must_use]
-pub fn run_patronoc(load: f64, window: u64, warmup: u64, mode: StepMode) -> ModeResult {
+pub fn run_patronoc(load: f64, window: u64, warmup: u64, full_sweep: bool) -> ModeResult {
     let sc = patronoc_uniform_scenario(32, load, 1_000, window, warmup, PERF_SEED);
     let mut cfg = sc.noc_config().expect("valid perf scenario");
-    cfg.full_sweep = mode.full_sweep;
+    cfg.full_sweep = full_sweep;
     let mut sim = patronoc::NocSim::new(cfg).expect("valid configuration");
     let mut src = sc.build_source();
     let report = sim.run(&mut *src, warmup + window, warmup);
@@ -64,10 +43,10 @@ pub fn run_patronoc(load: f64, window: u64, warmup: u64, mode: StepMode) -> Mode
 
 /// One packet-baseline perf point (uniform traffic, compact profile).
 #[must_use]
-pub fn run_packet(load: f64, window: u64, warmup: u64, mode: StepMode) -> ModeResult {
+pub fn run_packet(load: f64, window: u64, warmup: u64, full_sweep: bool) -> ModeResult {
     let sc = noxim_uniform_scenario(PacketProfile::Compact, load, 100, window, warmup, PERF_SEED);
     let mut cfg = PacketProfile::Compact.base_config();
-    cfg.full_sweep = mode.full_sweep;
+    cfg.full_sweep = full_sweep;
     let mut sim = packetnoc::PacketNocSim::new(cfg);
     let mut src = sc.build_source();
     let report = sim.run(&mut *src, warmup + window, warmup);

@@ -364,7 +364,7 @@ fn time_skipping_is_bit_identical_across_engines_traffic_and_threads() {
         scenarios.push(
             Scenario::packet(PacketProfile::HighPerformance)
                 .traffic(TrafficSpec::Synthetic {
-                    pattern: SyntheticPattern::Hotspot { skew_pct: 70 },
+                    pattern: SyntheticPattern::MaxTwoHop,
                     load,
                     max_transfer: 10_000,
                     read_fraction: 0.5,
@@ -519,19 +519,22 @@ fn run_patronoc_dnn(workload: DnnWorkload) -> Golden {
     Golden::of(&sim.run(&mut src, 500_000_000, 0))
 }
 
-fn run_packet_uniform(load: f64, threads: usize) -> Golden {
+fn run_packet_uniform(load: f64, threads: usize) -> SimReport {
     let mut sim = PacketNocSim::new(PacketNocConfig {
         threads,
         ..PacketNocConfig::noxim_compact()
     });
     let mut src = UniformRandom::new(golden_uniform_cfg(load, 100, 77));
-    Golden::of(&sim.run(&mut src, WARMUP + WINDOW, WARMUP))
+    sim.run(&mut src, WARMUP + WINDOW, WARMUP)
 }
 
-fn run_packet_synthetic(load: f64) -> Golden {
-    let mut sim = PacketNocSim::new(PacketNocConfig::noxim_high_performance());
+fn run_packet_synthetic(load: f64, threads: usize) -> SimReport {
+    let mut sim = PacketNocSim::new(PacketNocConfig {
+        threads,
+        ..PacketNocConfig::noxim_high_performance()
+    });
     let mut src = SyntheticTraffic::new(synthetic_cfg(load));
-    Golden::of(&sim.run(&mut src, WARMUP + WINDOW, WARMUP))
+    sim.run(&mut src, WARMUP + WINDOW, WARMUP)
 }
 
 fn run_packet_dnn(workload: DnnWorkload) -> Golden {
@@ -632,7 +635,7 @@ fn sharded_runs_match_the_pinned_goldens() {
             "sharded patronoc uniform diverged at load {load} ({threads} threads)"
         );
         assert_eq!(
-            run_packet_uniform(load, threads),
+            Golden::of(&run_packet_uniform(load, threads)),
             PACKET_UNIFORM_GOLDENS[i],
             "sharded packet uniform diverged at load {load} ({threads} threads)"
         );
@@ -706,7 +709,7 @@ fn patronoc_dnn_matches_pre_refactor_reports() {
 fn packet_uniform_matches_pre_refactor_reports() {
     for (i, &load) in LOADS.iter().enumerate() {
         assert_eq!(
-            run_packet_uniform(load, 1),
+            Golden::of(&run_packet_uniform(load, 1)),
             PACKET_UNIFORM_GOLDENS[i],
             "packet uniform diverged at load {load}"
         );
@@ -736,7 +739,7 @@ fn packet_synthetic_matches_pre_refactor_reports() {
     ];
     for (i, &load) in LOADS.iter().enumerate() {
         assert_eq!(
-            run_packet_synthetic(load),
+            Golden::of(&run_packet_synthetic(load, 1)),
             expected[i],
             "packet synthetic diverged at load {load}"
         );
@@ -818,4 +821,40 @@ fn patronoc_three_stage_links_match_pinned_report() {
         expected,
         "{threads} threads"
     );
+}
+
+/// The packet baseline's twin of the three-stage pin: the compact uniform
+/// and the high-performance synthetic golden runs at load 1.0, each with
+/// its `state_digest`. The digest hashes the snapshot header, so it pins
+/// every byte of `PacketNocSim::shape` as well as the state encoding.
+fn run_packet_pinned(threads: usize) -> [(Golden, u64); 2] {
+    [
+        run_packet_uniform(1.0, threads),
+        run_packet_synthetic(1.0, threads),
+    ]
+    .map(|r| (Golden::of(&r), r.state_digest))
+}
+
+#[test]
+fn packet_runs_match_pinned_reports_and_digests() {
+    let expected = [
+        (PACKET_UNIFORM_GOLDENS[2], 0x4471fe58f3ce0898),
+        (
+            golden(
+                12000,
+                5000,
+                0,
+                16384,
+                0x3fddcd6500000000,
+                0x40a2c2939b4ff7c8,
+            ),
+            0xa651132bca121f0d,
+        ),
+    ];
+    let threads = std::env::var("BENCH_THREADS")
+        .ok()
+        .and_then(|v| v.parse::<usize>().ok())
+        .unwrap_or(1);
+    assert_eq!(run_packet_pinned(1), expected, "serial");
+    assert_eq!(run_packet_pinned(threads), expected, "{threads} threads");
 }

@@ -5,7 +5,7 @@
 //! (`bench::perf`) on a reduced window.
 
 use bench::json::Json;
-use bench::perf::{mode_json, run_packet, run_patronoc, telemetry_is_live, StepMode};
+use bench::perf::{mode_json, run_packet, run_patronoc, telemetry_is_live};
 
 /// Looks up a key in a JSON object.
 fn field<'a>(json: &'a Json, key: &str) -> &'a Json {
@@ -24,11 +24,8 @@ fn perf_mode_json_carries_live_allocation_telemetry() {
     // A mid-load point on a small window: cheap, but every engine moves
     // real traffic, so the telemetry must be non-zero.
     for (name, result) in [
-        (
-            "patronoc",
-            run_patronoc(0.3, 5_000, 1_000, StepMode::active()),
-        ),
-        ("packet", run_packet(0.3, 5_000, 1_000, StepMode::active())),
+        ("patronoc", run_patronoc(0.3, 5_000, 1_000, false)),
+        ("packet", run_packet(0.3, 5_000, 1_000, false)),
     ] {
         assert!(
             telemetry_is_live(&result),
@@ -64,8 +61,8 @@ fn allocation_telemetry_is_identical_across_stepping_modes() {
     // arena counters must agree exactly (even though the field is excluded
     // from `SimReport::eq`, which covers simulated results only).
     for runner in [run_patronoc, run_packet] {
-        let active = runner(0.3, 5_000, 1_000, StepMode::active());
-        let full = runner(0.3, 5_000, 1_000, StepMode::full());
+        let active = runner(0.3, 5_000, 1_000, false);
+        let full = runner(0.3, 5_000, 1_000, true);
         assert_eq!(active.report.slab_high_water, full.report.slab_high_water);
         assert_eq!(
             active.report.allocs_per_kilocycle.to_bits(),

@@ -95,8 +95,9 @@ fn uniform_loads_are_thread_invariant() {
 
 #[test]
 fn synthetic_patterns_are_thread_invariant() {
-    // All-global at the three operating points, plus one address-mapped
-    // pattern (transpose) at saturation.
+    // All-global at the three operating points, plus max-single-hop at
+    // saturation: transfers a node addresses to itself, and one-hop
+    // transfers across region boundaries.
     for (name, base) in engines() {
         for &load in &LOADS {
             let sc = base
@@ -114,11 +115,14 @@ fn synthetic_patterns_are_thread_invariant() {
         }
         let sc = base
             .clone()
-            .traffic(TrafficSpec::synthetic(SyntheticPattern::Transpose, 10_000))
+            .traffic(TrafficSpec::synthetic(
+                SyntheticPattern::MaxSingleHop,
+                10_000,
+            ))
             .warmup(WARMUP)
             .window(WINDOW)
             .seed(defaults::fig6_seed(10_000));
-        assert_thread_invariant(&sc, &format!("{name} transpose"));
+        assert_thread_invariant(&sc, &format!("{name} max-single-hop"));
     }
 }
 

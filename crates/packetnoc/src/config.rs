@@ -1,5 +1,12 @@
 //! Baseline NoC configuration (the paper's two Noxim setups).
 
+/// Transfer-queue depth per NI: the engine stops polling its traffic
+/// source once this many transfers await packetization and resumes as the
+/// queue drains. Open-loop sources yield the same transfer stream either
+/// way (polling is merely deferred), so results are identical for any
+/// cap ≥ 1; the cap bounds simulator memory on saturated runs.
+pub const NI_QUEUE_CAP: usize = 64;
+
 /// Configuration of the packet-based baseline NoC.
 ///
 /// Defaults mirror the paper's Noxim runs: 4×4 mesh, XY routing, 32-bit
@@ -27,15 +34,6 @@ pub struct PacketNocConfig {
     /// `(packet_flits - 1) * flit_bytes` to model an idealized NI that packs
     /// payload into every non-header flit (ablation).
     pub payload_per_packet: u32,
-    /// Extra router pipeline latency in cycles added at the destination
-    /// delivery (models multi-stage routers; throughput-neutral).
-    pub router_extra_latency: u32,
-    /// Transfer-queue depth per NI: the engine stops polling its traffic
-    /// source once this many transfers await packetization and resumes as
-    /// the queue drains. Open-loop sources yield the same transfer stream
-    /// either way (polling is merely deferred), so results are identical
-    /// for any cap ≥ 1; the cap bounds simulator memory on saturated runs.
-    pub ni_queue_cap: usize,
     /// Debug mode: step every buffer, router and NI every cycle (the
     /// pre-activity-driven behaviour) instead of only the live subset, and
     /// never skip idle time (see `traffic::drive`).
@@ -64,8 +62,6 @@ impl PacketNocConfig {
             flit_bytes: 4,
             packet_flits: 8,
             payload_per_packet: 4,
-            router_extra_latency: 2,
-            ni_queue_cap: 64,
             full_sweep: false,
             threads: 1,
         }
@@ -104,7 +100,6 @@ impl PacketNocConfig {
         assert!(self.flit_bytes >= 1, "flit must carry at least a byte");
         assert!(self.packet_flits >= 2, "need head + at least one more flit");
         assert!(self.payload_per_packet >= 1, "packet must carry payload");
-        assert!(self.ni_queue_cap >= 1, "NI queue must hold a transfer");
         assert!(self.threads >= 1, "need at least one worker thread");
     }
 }

@@ -8,7 +8,7 @@
 //! with [`PacketNocConfig::full_sweep`] keeping the step-everything
 //! reference path; the two are bit-identical.
 
-use crate::config::PacketNocConfig;
+use crate::config::{PacketNocConfig, NI_QUEUE_CAP};
 use crate::ni::NetworkInterface;
 use crate::router::{Delivery, Flit, FlitKind, Port, Router, LOCAL, PORTS};
 use crate::shard::{RegionCtx, ShardBufView, Sharding};
@@ -225,7 +225,7 @@ impl PacketNocSim {
     }
 
     /// Stimulus, bounded per cycle and per NI backlog (see
-    /// `PacketNocConfig::ni_queue_cap`): a saturated mesh backpressures
+    /// [`NI_QUEUE_CAP`]): a saturated mesh backpressures
     /// the generator instead of buffering an unbounded transfer backlog.
     /// Runs full-sweep in both stepping modes — sources are stateful, so
     /// the poll call sequence must not depend on mesh activity. Reports
@@ -233,7 +233,7 @@ impl PacketNocSim {
     fn poll_stimulus(&mut self, source: &mut dyn TrafficSource, mut wake: impl FnMut(usize)) {
         for node in 0..self.cfg.num_nodes() {
             for _ in 0..64 {
-                if self.nis[node].queued() >= self.cfg.ni_queue_cap {
+                if self.nis[node].queued() >= NI_QUEUE_CAP {
                     break;
                 }
                 let Some(t) = source.poll(node, self.now) else {
@@ -755,8 +755,12 @@ impl PacketNocSim {
         e.u32(cfg.flit_bytes);
         e.u16(cfg.packet_flits);
         e.u32(cfg.payload_per_packet);
-        e.u32(cfg.router_extra_latency);
-        e.usize(cfg.ni_queue_cap);
+        // Two constants keep their slots in the fingerprint: a 2-cycle
+        // router latency that no code applies, and the NI queue depth.
+        // Dropping them would change every snapshot header and
+        // `state_digest`, which `.e2e/golden.json` pins.
+        e.u32(2);
+        e.usize(NI_QUEUE_CAP);
         e.digest()
     }
 
@@ -1159,33 +1163,26 @@ mod tests {
     }
 
     #[test]
-    fn ni_queue_cap_bounds_backlog_without_changing_results() {
-        let run = |cap: usize| {
-            let cfg = PacketNocConfig {
-                ni_queue_cap: cap,
-                ..PacketNocConfig::noxim_compact()
-            };
-            let mut sim = PacketNocSim::new(cfg);
-            let mut src = traffic::UniformRandom::new(traffic::UniformConfig {
-                masters: 16,
-                slaves: (0..16).collect(),
-                load: 1.0,
-                bytes_per_cycle: 4.0,
-                max_transfer: 100,
-                read_fraction: 0.5,
-                region_size: 1 << 24,
-                seed: 5,
-            });
-            let r = sim.run(&mut src, 10_000, 2_000);
-            let backlog: usize = sim.nis.iter().map(NetworkInterface::queued).max().unwrap();
-            (r.payload_bytes, sim.packets_delivered(), backlog)
-        };
-        // The cap only defers polling of the open-loop source, so delivered
-        // traffic is identical; only the retained backlog differs.
-        let (bytes_small, packets_small, backlog_small) = run(2);
-        let (bytes_big, packets_big, _) = run(1 << 32);
-        assert_eq!((bytes_small, packets_small), (bytes_big, packets_big));
-        assert!(backlog_small <= 2, "backlog {backlog_small} exceeds cap");
+    fn ni_queue_cap_bounds_backlog() {
+        let mut sim = PacketNocSim::new(PacketNocConfig::noxim_compact());
+        let mut src = traffic::UniformRandom::new(traffic::UniformConfig {
+            masters: 16,
+            slaves: (0..16).collect(),
+            load: 1.0,
+            bytes_per_cycle: 4.0,
+            max_transfer: 100,
+            read_fraction: 0.5,
+            region_size: 1 << 24,
+            seed: 5,
+        });
+        let mut peak = 0;
+        for _ in 0..10_000 {
+            sim.step(&mut src);
+            let backlog = sim.nis.iter().map(NetworkInterface::queued).max().unwrap();
+            peak = peak.max(backlog);
+        }
+        // A saturated mesh backs the source up to the cap, and no further.
+        assert_eq!(peak, NI_QUEUE_CAP, "backlog peaked at {peak}");
     }
 
     /// The Poisson workload the stepping cross-checks below share.

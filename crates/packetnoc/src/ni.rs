@@ -83,7 +83,7 @@ impl NetworkInterface {
     }
 
     /// Transfers waiting for packetization (the engine stops polling its
-    /// traffic source at [`PacketNocConfig::ni_queue_cap`]).
+    /// traffic source at [`NI_QUEUE_CAP`](crate::config::NI_QUEUE_CAP)).
     #[must_use]
     pub fn queued(&self) -> usize {
         self.queue.len()

@@ -4,6 +4,16 @@ use crate::routing::{Connectivity, RoutingAlgorithm};
 use crate::topology::Topology;
 use axi::{AxiParams, ConfigError};
 
+/// Descriptor-queue depth per DMA engine: the engine stops polling its
+/// traffic source once this many descriptors are waiting, and resumes as
+/// the queue drains. Open-loop sources (Poisson generators, finite traces)
+/// produce the *same* transfer stream either way — polling is merely
+/// deferred — so measured results are identical for any cap ≥ 1; the cap
+/// only bounds simulator memory, which otherwise grows without limit when
+/// the offered load exceeds what the NoC can drain (the multi-GiB RSS once
+/// seen on saturated Fig. 6 sweeps).
+pub const DMA_QUEUE_CAP: usize = 64;
+
 /// Configuration of one PATRONoC instance plus its evaluation testbench.
 ///
 /// The AXI parameters and topology correspond to the paper's design-time
@@ -40,15 +50,6 @@ pub struct NocConfig {
     pub slave_outstanding: u32,
     /// DMA per-descriptor programming cost in cycles.
     pub dma_setup_cycles: u32,
-    /// Descriptor-queue depth per DMA engine: the engine stops polling its
-    /// traffic source once this many descriptors are waiting, and resumes as
-    /// the queue drains. Open-loop sources (Poisson generators, finite
-    /// traces) produce the *same* transfer stream either way — polling is
-    /// merely deferred — so measured results are identical for any cap ≥ 1;
-    /// the cap only bounds simulator memory, which otherwise grows without
-    /// limit when the offered load exceeds what the NoC can drain (the
-    /// multi-GiB RSS previously seen on saturated Fig. 6 sweeps).
-    pub dma_queue_cap: usize,
     /// Address-region bytes owned by each endpoint.
     pub region_size: u64,
     /// Nodes hosting DMA masters (default: all).
@@ -91,7 +92,6 @@ impl NocConfig {
             mem_latency: 5,
             slave_outstanding: 64,
             dma_setup_cycles: 2,
-            dma_queue_cap: 64,
             region_size: 1 << 24,
             masters: (0..n).collect(),
             slaves: (0..n).collect(),
@@ -152,7 +152,6 @@ impl NocConfig {
         for (value, name) in [
             (self.link_stages as u64, "link_stages"),
             (self.region_size, "region_size"),
-            (self.dma_queue_cap as u64, "dma_queue_cap"),
         ] {
             if value == 0 {
                 return Err(ConfigError::ZeroParameter(name));
@@ -236,16 +235,6 @@ mod tests {
         let mut cfg = NocConfig::slim_4x4();
         cfg.link_stages = 0;
         assert!(cfg.validate().is_err());
-    }
-
-    #[test]
-    fn rejects_zero_descriptor_queue() {
-        let mut cfg = NocConfig::slim_4x4();
-        cfg.dma_queue_cap = 0;
-        assert_eq!(
-            cfg.validate(),
-            Err(ConfigError::ZeroParameter("dma_queue_cap"))
-        );
     }
 
     #[test]

@@ -26,7 +26,7 @@
 //! stages of the crosspoints at its two ends, and [`Xp::step`] evaluates
 //! only awake stages. The reference path evaluates every stage.
 
-use crate::config::NocConfig;
+use crate::config::{NocConfig, DMA_QUEUE_CAP};
 use crate::endpoint::{DmaEngine, InflightTransfer, MemorySlave, ResolvedTransfer, WStream};
 use crate::link::{AxiLink, Edges};
 use crate::routing::{connectivity_tables, Connectivity, RoutingAlgorithm};
@@ -371,7 +371,7 @@ impl NocSim {
     /// Pulls stimulus for every master (bounded per cycle to keep
     /// pathological sources from spinning forever, and per queue depth so
     /// a saturated NoC backpressures the generator instead of buffering
-    /// unbounded descriptor backlogs — see `NocConfig::dma_queue_cap`).
+    /// unbounded descriptor backlogs — see [`DMA_QUEUE_CAP`]).
     /// This runs full-sweep in both stepping modes: sources are stateful,
     /// so the poll call sequence must not depend on NoC activity. Returns
     /// via `wake` each DMA index that accepted at least one descriptor.
@@ -379,7 +379,7 @@ impl NocSim {
         for di in 0..self.dmas.len() {
             let node = self.dmas[di].node();
             for _ in 0..64 {
-                if self.dmas[di].queued() >= self.cfg.dma_queue_cap {
+                if self.dmas[di].queued() >= DMA_QUEUE_CAP {
                     break;
                 }
                 let Some(t) = source.poll(node, self.now) else {
@@ -1062,7 +1062,10 @@ impl NocSim {
         e.u32(cfg.mem_latency);
         e.u32(cfg.slave_outstanding);
         e.u32(cfg.dma_setup_cycles);
-        e.usize(cfg.dma_queue_cap);
+        // The descriptor-queue depth keeps its slot in the fingerprint:
+        // dropping it would change every snapshot header and
+        // `state_digest`, which `.e2e/golden.json` pins.
+        e.usize(DMA_QUEUE_CAP);
         e.u64(cfg.region_size);
         e.usize(cfg.masters.len());
         for &m in &cfg.masters {
@@ -1504,43 +1507,19 @@ mod tests {
                 })
             }
         }
-        let mut cfg = NocConfig::slim_4x4();
-        cfg.dma_queue_cap = 8;
-        let mut sim = NocSim::new(cfg).unwrap();
+        let mut sim = NocSim::new(NocConfig::slim_4x4()).unwrap();
         let mut src = Flood(0);
         for _ in 0..2_000 {
             sim.step(&mut src);
             for d in &sim.dmas {
-                assert!(d.queued() <= 8, "queue exceeded cap: {}", d.queued());
+                assert!(
+                    d.queued() <= DMA_QUEUE_CAP,
+                    "queue exceeded cap: {}",
+                    d.queued()
+                );
             }
         }
         assert!(sim.transfers_completed() > 0);
-    }
-
-    #[test]
-    fn queue_cap_does_not_change_results() {
-        // The cap only defers polling: an open-loop Poisson source yields
-        // the same per-master transfer stream, so the measured report is
-        // bit-identical whether the backlog is bounded at 4 or unbounded
-        // in practice (1 << 32).
-        let run = |cap: usize| {
-            let mut cfg = NocConfig::slim_4x4();
-            cfg.dma_queue_cap = cap;
-            let mut sim = NocSim::new(cfg).unwrap();
-            let mut src = traffic::UniformRandom::new(traffic::UniformConfig {
-                masters: 16,
-                slaves: (0..16).collect(),
-                load: 1.0,
-                bytes_per_cycle: 4.0,
-                max_transfer: 64,
-                read_fraction: 0.5,
-                region_size: 1 << 24,
-                seed: 99,
-            });
-            let r = sim.run(&mut src, 12_000, 2_000);
-            (r.payload_bytes, r.transfers_completed, r.p99_latency)
-        };
-        assert_eq!(run(4), run(1 << 32));
     }
 
     #[test]

@@ -7,8 +7,8 @@ use simkit::{Json, SimReport, StopReason};
 use std::fmt;
 use traffic::{
     dnn::{DnnConfig, RESNET34_LAYERS},
-    DnnTraffic, DnnWorkload, Engine, SyntheticConfig, SyntheticPattern, SyntheticTraffic,
-    TrafficSource, UniformConfig, UniformRandom,
+    DnnTraffic, DnnWorkload, Engine, SyntheticConfig, SyntheticTraffic, TrafficSource,
+    UniformConfig, UniformRandom,
 };
 
 /// Why a scenario could not be instantiated or run.
@@ -30,7 +30,8 @@ pub enum ScenarioError {
     Parse(String),
     /// A well-formed scenario asks for something its engine or workload
     /// cannot model: zero load, a DNN trace of zero steps, a mesh too
-    /// small for the engine or the traffic pattern, zero threads.
+    /// small for the engine or the traffic pattern, a hop-limited pattern
+    /// that leaves a master no slave in reach, zero threads.
     Invalid(String),
 }
 
@@ -374,26 +375,21 @@ impl Scenario {
         cfg.threads = self.threads;
         cfg.full_sweep = self.full_sweep;
         if let TrafficSpec::Synthetic { pattern, .. } = self.traffic {
-            let (cols, rows) = self.synthetic_mesh(pattern)?;
+            let (cols, rows) = self.synthetic_mesh()?;
             cfg.slaves = pattern.slave_nodes(cols, rows);
         }
         Ok(cfg)
     }
 
-    /// The mesh a synthetic `pattern` is placed on, checked against what
-    /// [`SyntheticPattern::slave_nodes`] asserts.
-    fn synthetic_mesh(&self, pattern: SyntheticPattern) -> Result<(usize, usize), ScenarioError> {
+    /// The mesh a synthetic pattern is placed on, checked against what
+    /// [`traffic::SyntheticPattern::slave_nodes`] asserts.
+    fn synthetic_mesh(&self) -> Result<(usize, usize), ScenarioError> {
         let (cols, rows) = self
             .mesh_dims()
             .ok_or(ScenarioError::SyntheticNeedsMesh(self.topology))?;
         if cols < 3 || rows < 3 {
             return Err(ScenarioError::Invalid(format!(
                 "synthetic patterns need at least a 3x3 mesh, got {cols}x{rows}"
-            )));
-        }
-        if pattern == SyntheticPattern::Transpose && cols != rows {
-            return Err(ScenarioError::Invalid(format!(
-                "the transpose pattern needs a square mesh, got {cols}x{rows}"
             )));
         }
         Ok((cols, rows))
@@ -424,7 +420,18 @@ impl Scenario {
                 ..
             } => {
                 check_rate(load, max_transfer)?;
-                self.synthetic_mesh(pattern).map(|_| ())
+                let (cols, rows) = self.synthetic_mesh()?;
+                match pattern
+                    .eligible_slaves(cols, rows)
+                    .iter()
+                    .position(Vec::is_empty)
+                {
+                    Some(m) => invalid(format!(
+                        "the {pattern:?} pattern leaves master {m} of a {cols}x{rows} mesh \
+                         no slave in reach"
+                    )),
+                    None => Ok(()),
+                }
             }
             TrafficSpec::Dnn { workload, steps } => {
                 let cores = self.num_nodes();

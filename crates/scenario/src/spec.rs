@@ -182,7 +182,7 @@ impl TrafficSpec {
                 read_fraction,
             } => Json::obj(vec![
                 ("kind", Json::str("synthetic")),
-                ("pattern", Json::Str(pattern_label(pattern))),
+                ("pattern", Json::str(pattern_label(pattern))),
                 ("load", Json::F64(load)),
                 ("max_transfer", Json::U64(max_transfer)),
                 ("read_fraction", Json::F64(read_fraction)),
@@ -233,35 +233,19 @@ impl TrafficSpec {
     }
 }
 
-fn pattern_label(pattern: SyntheticPattern) -> String {
+fn pattern_label(pattern: SyntheticPattern) -> &'static str {
     match pattern {
-        SyntheticPattern::AllGlobal => "all-global".to_owned(),
-        SyntheticPattern::MaxTwoHop => "max-2-hop".to_owned(),
-        SyntheticPattern::MaxSingleHop => "max-1-hop".to_owned(),
-        SyntheticPattern::Transpose => "transpose".to_owned(),
-        SyntheticPattern::BitComplement => "bit-complement".to_owned(),
-        // The skew is part of the workload identity, so it rides in the
-        // label: "hotspot-70" is 70 % of traffic on the hot node.
-        SyntheticPattern::Hotspot { skew_pct } => format!("hotspot-{skew_pct}"),
+        SyntheticPattern::AllGlobal => "all-global",
+        SyntheticPattern::MaxTwoHop => "max-2-hop",
+        SyntheticPattern::MaxSingleHop => "max-1-hop",
     }
 }
 
 fn pattern_from_label(label: &str) -> Result<SyntheticPattern, String> {
-    if let Some(skew) = label.strip_prefix("hotspot-") {
-        let skew_pct: u8 = skew
-            .parse()
-            .map_err(|_| format!("bad hotspot skew `{skew}`"))?;
-        if !(1..=100).contains(&skew_pct) {
-            return Err(format!("hotspot skew `{skew_pct}` outside 1..=100"));
-        }
-        return Ok(SyntheticPattern::Hotspot { skew_pct });
-    }
     match label {
         "all-global" => Ok(SyntheticPattern::AllGlobal),
         "max-2-hop" => Ok(SyntheticPattern::MaxTwoHop),
         "max-1-hop" => Ok(SyntheticPattern::MaxSingleHop),
-        "transpose" => Ok(SyntheticPattern::Transpose),
-        "bit-complement" => Ok(SyntheticPattern::BitComplement),
         other => Err(format!("unknown synthetic pattern `{other}`")),
     }
 }
@@ -353,26 +337,34 @@ mod tests {
             SyntheticPattern::AllGlobal,
             SyntheticPattern::MaxTwoHop,
             SyntheticPattern::MaxSingleHop,
-            SyntheticPattern::Transpose,
-            SyntheticPattern::BitComplement,
-            SyntheticPattern::Hotspot { skew_pct: 1 },
-            SyntheticPattern::Hotspot { skew_pct: 70 },
-            SyntheticPattern::Hotspot { skew_pct: 100 },
         ];
         for pattern in patterns {
             let label = pattern_label(pattern);
-            assert_eq!(pattern_from_label(&label), Ok(pattern), "via `{label}`");
+            assert_eq!(pattern_from_label(label), Ok(pattern), "via `{label}`");
         }
-        assert_eq!(
-            pattern_label(SyntheticPattern::Hotspot { skew_pct: 70 }),
-            "hotspot-70"
-        );
     }
 
     #[test]
-    fn bad_hotspot_labels_rejected() {
-        for label in ["hotspot-0", "hotspot-101", "hotspot-", "hotspot-7x"] {
-            assert!(pattern_from_label(label).is_err(), "`{label}` accepted");
+    fn scenarios_naming_unmodelled_patterns_are_refused() {
+        use crate::{Scenario, ScenarioError};
+        let doc = Scenario::patronoc()
+            .traffic(TrafficSpec::synthetic(
+                SyntheticPattern::MaxSingleHop,
+                1_000,
+            ))
+            .window(1_000)
+            .to_json()
+            .to_json();
+        assert!(Scenario::from_json_str(&doc).is_ok());
+        for label in ["transpose", "bit-complement", "hotspot-70"] {
+            let text = doc.replace("\"max-1-hop\"", &format!("\"{label}\""));
+            assert_ne!(text, doc, "the pattern label was not substituted");
+            match Scenario::from_json_str(&text) {
+                Err(ScenarioError::Parse(why)) => {
+                    assert!(why.contains(label), "`{why}` does not name `{label}`");
+                }
+                other => panic!("`{label}` not refused as a parse error: {other:?}"),
+            }
         }
     }
 

@@ -42,9 +42,6 @@ fn traffic_strategy() -> impl Strategy<Value = TrafficSpec> {
                 Just(traffic::SyntheticPattern::AllGlobal),
                 Just(traffic::SyntheticPattern::MaxTwoHop),
                 Just(traffic::SyntheticPattern::MaxSingleHop),
-                Just(traffic::SyntheticPattern::Transpose),
-                Just(traffic::SyntheticPattern::BitComplement),
-                (1u8..=100).prop_map(|skew_pct| traffic::SyntheticPattern::Hotspot { skew_pct }),
             ],
             0.0001..1.0f64,
             1u64..65_000,
@@ -261,11 +258,18 @@ fn unmodellable_scenarios() -> Vec<(&'static str, Scenario)> {
                 .traffic(synthetic(SyntheticPattern::MaxTwoHop, 1.0)),
         ),
         (
-            "transpose on a 3x4 mesh",
+            "two-hop pattern on a 5x3 mesh",
             windowed
                 .clone()
-                .topology(mesh(3, 4))
-                .traffic(synthetic(SyntheticPattern::Transpose, 1.0)),
+                .topology(mesh(5, 3))
+                .traffic(synthetic(SyntheticPattern::MaxTwoHop, 1.0)),
+        ),
+        (
+            "single-hop pattern on a 5x5 packet mesh",
+            packet
+                .clone()
+                .topology(mesh(5, 5))
+                .traffic(synthetic(SyntheticPattern::MaxSingleHop, 1.0)),
         ),
         ("DNN trace of 0 steps", dnn(DnnWorkload::ParallelConv, 0)),
         (
@@ -322,15 +326,16 @@ fn every_mutated_document_fails_to_parse_is_refused_or_builds() {
     use patronoc::Topology;
     use traffic::{DnnWorkload, SyntheticPattern};
     // Small meshes and single-digit fields, so that a one-digit change
-    // reaches each refused class: a mesh below 2x1 or 3x3, a non-square
-    // transpose, a zero load, zero steps, zero threads, more pipeline
+    // reaches each refused class: a mesh below 2x1 or 3x3, a two-hop
+    // master out of reach, a zero load, zero steps, zero threads, more
+    // pipeline
     // cores than layers. The optional keys are left out where they reach
     // no class: a mutant of an ignored key only repeats the original.
     let docs = [
         (
             Scenario::patronoc()
                 .topology(Topology::Mesh { cols: 3, rows: 3 })
-                .traffic(TrafficSpec::synthetic(SyntheticPattern::Transpose, 100)),
+                .traffic(TrafficSpec::synthetic(SyntheticPattern::MaxTwoHop, 100)),
             &["threads", "full_sweep"][..],
         ),
         (

@@ -20,7 +20,7 @@ fn engine_strategy() -> impl Strategy<Value = EngineSpec> {
 
 /// Loads span idle (where skipping dominates) through saturated (where
 /// it must stand down); dnn traffic exercises the dependency-driven
-/// horizon, hotspot the skewed synthetic one.
+/// horizon, the Fig. 5 patterns the localized synthetic one.
 fn traffic_strategy() -> impl Strategy<Value = TrafficSpec> {
     prop_oneof![
         (0.0005..0.01f64, 256u64..4096).prop_map(|(load, max_transfer)| {
@@ -37,14 +37,20 @@ fn traffic_strategy() -> impl Strategy<Value = TrafficSpec> {
             read_fraction: 0.5,
             copies: false,
         }),
-        (1u8..=100, 0.001..0.02f64).prop_map(|(skew_pct, load)| {
-            TrafficSpec::Synthetic {
-                pattern: SyntheticPattern::Hotspot { skew_pct },
+        (
+            prop::sample::select(vec![
+                SyntheticPattern::AllGlobal,
+                SyntheticPattern::MaxTwoHop,
+                SyntheticPattern::MaxSingleHop,
+            ]),
+            0.001..0.02f64,
+        )
+            .prop_map(|(pattern, load)| TrafficSpec::Synthetic {
+                pattern,
                 load,
                 max_transfer: 1024,
                 read_fraction: 0.5,
-            }
-        }),
+            }),
         (1usize..3).prop_map(|steps| TrafficSpec::dnn(DnnWorkload::PipelinedConv, steps)),
     ]
 }

@@ -133,38 +133,6 @@ impl Rng {
     pub fn gen_bool(&mut self, p: f64) -> bool {
         self.gen_f64() < p
     }
-
-    /// Geometric inter-arrival gap (in cycles) for a Bernoulli process with
-    /// per-cycle probability `p`, i.e. the discrete analogue of Poisson
-    /// arrivals used for the uniform-random traffic of Fig. 4.
-    ///
-    /// Returns the number of cycles until (and including) the next arrival;
-    /// always at least 1.
-    pub fn gen_geometric(&mut self, p: f64) -> u64 {
-        if p >= 1.0 {
-            return 1;
-        }
-        assert!(p > 0.0, "geometric probability must be positive");
-        let u = self.gen_f64().max(f64::MIN_POSITIVE);
-        let g = (u.ln() / (1.0 - p).ln()).ceil();
-        (g as u64).max(1)
-    }
-
-    /// Picks a uniformly random element index different from `exclude`
-    /// out of `n` choices.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n < 2` or `exclude >= n`.
-    pub fn gen_index_excluding(&mut self, n: usize, exclude: usize) -> usize {
-        assert!(n >= 2 && exclude < n, "need at least two choices");
-        let r = self.gen_range((n - 1) as u64) as usize;
-        if r >= exclude {
-            r + 1
-        } else {
-            r
-        }
-    }
 }
 
 #[cfg(test)]
@@ -225,39 +193,81 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "bound must be non-zero")]
+    fn gen_range_rejects_zero_bound() {
+        let _ = Rng::new(1).gen_range(0);
+    }
+
+    #[test]
+    fn gen_range_stays_in_bounds_near_u64_max() {
+        // Half the draws land in Lemire's rejection zone at this bound.
+        let bound = (1u64 << 63) + 1;
+        let mut rng = Rng::new(6);
+        let mut upper_half = 0;
+        for _ in 0..1000 {
+            let v = rng.gen_range(bound);
+            assert!(v < bound);
+            upper_half += u32::from(v >= 1 << 62);
+        }
+        assert!((430..570).contains(&upper_half), "upper half {upper_half}");
+    }
+
+    #[test]
+    fn gen_range_inclusive_single_value_draws_nothing() {
+        let mut rng = Rng::new(8);
+        let before = rng.state();
+        assert_eq!(rng.gen_range_inclusive(9, 9), 9);
+        assert_eq!(rng.state(), before);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid range")]
+    fn gen_range_inclusive_rejects_inverted_range() {
+        let _ = Rng::new(1).gen_range_inclusive(8, 5);
+    }
+
+    #[test]
+    fn gen_bool_frequency_matches_probability() {
+        let mut rng = Rng::new(12);
+        let hits = (0..10_000).filter(|_| rng.gen_bool(0.3)).count();
+        assert!((2_800..3_200).contains(&hits), "hits {hits}");
+    }
+
+    #[test]
+    fn gen_bool_clamps_probability_to_unit_interval() {
+        let mut rng = Rng::new(13);
+        for _ in 0..1000 {
+            assert!(!rng.gen_bool(0.0));
+            assert!(!rng.gen_bool(-0.5));
+            assert!(rng.gen_bool(1.0));
+            assert!(rng.gen_bool(1.5));
+        }
+    }
+
+    #[test]
+    fn fork_is_deterministic_and_leaves_the_parent_untouched() {
+        let mut root = Rng::new(21);
+        let before = root.state();
+        let mut a = root.fork(3);
+        let mut b = root.fork(3);
+        assert_eq!(root.state(), before);
+        for _ in 0..100 {
+            assert_eq!(a.next_u64(), b.next_u64());
+        }
+        // A fork is keyed by the parent's state, not its own draws.
+        let mut after_draw = {
+            root.next_u64();
+            root.fork(3)
+        };
+        assert_ne!(after_draw.next_u64(), Rng::new(21).fork(3).next_u64());
+    }
+
+    #[test]
     fn gen_f64_in_unit_interval() {
         let mut rng = Rng::new(5);
         for _ in 0..1000 {
             let v = rng.gen_f64();
             assert!((0.0..1.0).contains(&v));
-        }
-    }
-
-    #[test]
-    fn geometric_mean_matches_rate() {
-        let mut rng = Rng::new(6);
-        let p = 0.1;
-        let n = 20_000;
-        let total: u64 = (0..n).map(|_| rng.gen_geometric(p)).sum();
-        let mean = total as f64 / n as f64;
-        // Expected mean 1/p = 10; allow 5% tolerance.
-        assert!((mean - 10.0).abs() < 0.5, "mean {mean}");
-    }
-
-    #[test]
-    fn geometric_saturates_at_one() {
-        let mut rng = Rng::new(8);
-        assert_eq!(rng.gen_geometric(1.0), 1);
-        assert_eq!(rng.gen_geometric(2.0), 1);
-    }
-
-    #[test]
-    fn index_excluding_never_returns_excluded() {
-        let mut rng = Rng::new(9);
-        for _ in 0..1000 {
-            let v = rng.gen_index_excluding(16, 5);
-            assert_ne!(v, 5);
-            assert!(v < 16);
         }
     }
 

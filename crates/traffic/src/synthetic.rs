@@ -13,10 +13,6 @@
 //!   modelling DNN schedules that place communicating kernels on nearby
 //!   cores.
 //!
-//! Plus the two classical address-mapped stress patterns (transpose,
-//! bit-complement) and a skewed **hotspot** pattern (slaves everywhere,
-//! a configurable share of transfers aimed at one central node).
-//!
 //! Transfer lengths and arrival timing use the same randomized-burst Poisson
 //! process as [`crate::uniform`].
 
@@ -25,10 +21,7 @@ use crate::source::{arrival_horizon, TrafficSource, Transfer, TransferKind};
 use simkit::snap::{DecodeLimits, Decoder, Encoder};
 use simkit::{Cycle, Horizon, Rng};
 
-/// The synthetic access patterns: the three locality-controlled patterns
-/// of Fig. 5 plus the two classical address-mapped NoC stress patterns
-/// (transpose, bit-complement) used by mesh evaluations since the SPIN /
-/// Noxim era.
+/// The three locality-controlled access patterns of Fig. 5.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SyntheticPattern {
     /// All masters → one central slave.
@@ -37,23 +30,6 @@ pub enum SyntheticPattern {
     MaxTwoHop,
     /// Eight edge slaves, destinations at most one hop away.
     MaxSingleHop,
-    /// Master `(x, y)` → slave `(y, x)`: the matrix-transpose pattern.
-    /// Deterministic destinations; needs a square mesh. Diagonal nodes
-    /// target themselves (local-port traffic).
-    Transpose,
-    /// Master `m` → slave `n − 1 − m`: every transfer crosses the mesh
-    /// center — the worst-case bisection stress pattern.
-    BitComplement,
-    /// Hotspot: slaves at every node, but each transfer targets the
-    /// central hot node (the [`AllGlobal`](Self::AllGlobal) slave) with
-    /// probability `skew_pct`%, and a uniformly random node otherwise —
-    /// the ROADMAP's "heavy traffic on one slave" skewed workload.
-    /// `skew_pct` must be in `1..=100`; 100 degenerates to
-    /// [`AllGlobal`](Self::AllGlobal) with extra idle slaves.
-    Hotspot {
-        /// Percent of transfers aimed at the hot node (`1..=100`).
-        skew_pct: u8,
-    },
 }
 
 impl SyntheticPattern {
@@ -63,23 +39,10 @@ impl SyntheticPattern {
     /// # Panics
     ///
     /// Panics if the mesh is smaller than 3×3 (the edge/center structure of
-    /// the patterns needs at least that), or for [`Transpose`](Self::Transpose)
-    /// on a non-square mesh.
+    /// the patterns needs at least that).
     #[must_use]
     pub fn slave_nodes(self, cols: usize, rows: usize) -> Vec<usize> {
         assert!(cols >= 3 && rows >= 3, "pattern needs at least a 3x3 mesh");
-        self.validate();
-        if self == Self::Transpose {
-            assert_eq!(cols, rows, "transpose needs a square mesh");
-        }
-        // The address-mapped patterns are bijections, and the hotspot's
-        // cold side is mesh-wide: every node receives.
-        if matches!(
-            self,
-            Self::Transpose | Self::BitComplement | Self::Hotspot { .. }
-        ) {
-            return (0..cols * rows).collect();
-        }
         let node = |x: usize, y: usize| y * cols + x;
         match self {
             Self::AllGlobal => vec![node(cols / 2, (rows - 1) / 2)],
@@ -107,63 +70,44 @@ impl SyntheticPattern {
                 }
                 v
             }
-            Self::Transpose | Self::BitComplement | Self::Hotspot { .. } => {
-                unreachable!("returned above")
-            }
-        }
-    }
-
-    /// Validates the pattern's parameters (the skew of a
-    /// [`Hotspot`](Self::Hotspot) must be a percentage in `1..=100`).
-    ///
-    /// # Panics
-    ///
-    /// Panics on an out-of-range skew.
-    pub fn validate(self) {
-        if let Self::Hotspot { skew_pct } = self {
-            assert!(
-                (1..=100).contains(&skew_pct),
-                "hotspot skew must be in 1..=100 percent, got {skew_pct}"
-            );
-        }
-    }
-
-    /// The hot node of a [`Hotspot`](Self::Hotspot) pattern — the same
-    /// central endpoint [`AllGlobal`](Self::AllGlobal) uses as its single
-    /// slave; `None` for every other pattern.
-    #[must_use]
-    pub fn hot_node(self, cols: usize, rows: usize) -> Option<usize> {
-        match self {
-            Self::Hotspot { .. } => Some(((rows - 1) / 2) * cols + cols / 2),
-            _ => None,
         }
     }
 
     /// The hop-distance restriction the pattern imposes on destination
     /// choice (`None` = unrestricted).
-    #[must_use]
-    pub fn max_hops(self) -> Option<u32> {
+    fn max_hops(self) -> Option<u32> {
         match self {
-            Self::AllGlobal | Self::Transpose | Self::BitComplement | Self::Hotspot { .. } => None,
+            Self::AllGlobal => None,
             Self::MaxTwoHop => Some(2),
             Self::MaxSingleHop => Some(1),
         }
     }
 
-    /// The single deterministic destination of `master` under the
-    /// address-mapped patterns; `None` for the randomized Fig. 5 patterns,
-    /// whose destinations draw from an eligible set per transfer.
+    /// Each master's eligible destinations on a `cols`×`rows` mesh, indexed
+    /// by master node: the pattern's slaves within its hop limit. An empty
+    /// list means the pattern leaves that master no slave in reach, as
+    /// two-hop does once either side exceeds 4 nodes, and single-hop once
+    /// both sides reach 5.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the mesh is smaller than 3×3, like
+    /// [`slave_nodes`](Self::slave_nodes).
     #[must_use]
-    pub fn fixed_destination(self, cols: usize, rows: usize, master: usize) -> Option<usize> {
-        match self {
-            Self::Transpose => {
-                // (x, y) → (y, x): destination node = x·cols + y.
-                let (x, y) = (master % cols, master / cols);
-                Some(x * cols + y)
-            }
-            Self::BitComplement => Some(cols * rows - 1 - master),
-            Self::AllGlobal | Self::MaxTwoHop | Self::MaxSingleHop | Self::Hotspot { .. } => None,
-        }
+    pub fn eligible_slaves(self, cols: usize, rows: usize) -> Vec<Vec<usize>> {
+        let slaves = self.slave_nodes(cols, rows);
+        (0..cols * rows)
+            .map(|m| {
+                slaves
+                    .iter()
+                    .copied()
+                    .filter(|&s| {
+                        self.max_hops()
+                            .is_none_or(|h| hop_distance(cols, m, s) <= h)
+                    })
+                    .collect()
+            })
+            .collect()
     }
 }
 
@@ -212,33 +156,18 @@ impl SyntheticTraffic {
     ///
     /// # Panics
     ///
-    /// Panics if a master ends up with no eligible destination (cannot
-    /// happen for meshes ≥ 3×3 with the built-in patterns) or if the
-    /// configuration is degenerate.
+    /// Panics if a master has no eligible destination (see
+    /// [`SyntheticPattern::eligible_slaves`]) or if the configuration is
+    /// degenerate.
     #[must_use]
     pub fn new(cfg: SyntheticConfig) -> Self {
-        assert!(cfg.load > 0.0 && cfg.max_transfer > 0);
-        cfg.pattern.validate();
+        assert!(cfg.load > 0.0, "load must be positive");
+        assert!(cfg.max_transfer > 0, "max transfer must be positive");
         let n = cfg.cols * cfg.rows;
-        let slaves = cfg.pattern.slave_nodes(cfg.cols, cfg.rows);
-        let eligible: Vec<Vec<usize>> = (0..n)
-            .map(|m| {
-                let list: Vec<usize> = match cfg.pattern.fixed_destination(cfg.cols, cfg.rows, m) {
-                    // Address-mapped pattern: exactly one destination.
-                    Some(d) => vec![d],
-                    None => slaves
-                        .iter()
-                        .copied()
-                        .filter(|&s| match cfg.pattern.max_hops() {
-                            None => true,
-                            Some(h) => hop_distance(cfg.cols, m, s) <= h,
-                        })
-                        .collect(),
-                };
-                assert!(!list.is_empty(), "master {m} has no eligible slave");
-                list
-            })
-            .collect();
+        let eligible = cfg.pattern.eligible_slaves(cfg.cols, cfg.rows);
+        if let Some(m) = eligible.iter().position(Vec::is_empty) {
+            panic!("master {m} has no eligible slave");
+        }
         let mean_size = (1.0 + cfg.max_transfer as f64) / 2.0;
         let mean_gap = mean_size / (cfg.load * cfg.bytes_per_cycle);
         let root = Rng::new(cfg.seed);
@@ -257,18 +186,6 @@ impl SyntheticTraffic {
         }
     }
 
-    /// The slave endpoints instantiated by this configuration.
-    #[must_use]
-    pub fn slave_nodes(&self) -> Vec<usize> {
-        self.cfg.pattern.slave_nodes(self.cfg.cols, self.cfg.rows)
-    }
-
-    /// Eligible destinations of one master.
-    #[must_use]
-    pub fn eligible(&self, master: usize) -> &[usize] {
-        &self.eligible[master]
-    }
-
     /// Configuration fingerprint carried in the checkpoint header: a
     /// source-type tag plus every field that shapes the generated stream
     /// (the eligible sets derive from pattern and mesh dimensions).
@@ -282,12 +199,6 @@ impl SyntheticTraffic {
             SyntheticPattern::AllGlobal => e.byte(0),
             SyntheticPattern::MaxTwoHop => e.byte(1),
             SyntheticPattern::MaxSingleHop => e.byte(2),
-            SyntheticPattern::Transpose => e.byte(3),
-            SyntheticPattern::BitComplement => e.byte(4),
-            SyntheticPattern::Hotspot { skew_pct } => {
-                e.byte(5);
-                e.byte(skew_pct);
-            }
         }
         e.f64(cfg.load);
         e.f64(cfg.bytes_per_cycle);
@@ -309,17 +220,7 @@ impl TrafficSource for SyntheticTraffic {
         *next_arrival += -u.ln() * self.mean_gap;
         let bytes = rng.gen_range_inclusive(1, self.cfg.max_transfer);
         let list = &self.eligible[master];
-        let hot = match self.cfg.pattern {
-            SyntheticPattern::Hotspot { skew_pct } => rng
-                .gen_bool(f64::from(skew_pct) / 100.0)
-                .then(|| self.cfg.pattern.hot_node(self.cfg.cols, self.cfg.rows))
-                .flatten(),
-            _ => None,
-        };
-        let dst = match hot {
-            Some(node) => node,
-            None => list[rng.gen_range(list.len() as u64) as usize],
-        };
+        let dst = list[rng.gen_range(list.len() as u64) as usize];
         let max_offset = self.cfg.region_size.saturating_sub(bytes);
         let offset = if max_offset == 0 {
             0
@@ -401,6 +302,26 @@ mod tests {
         }
     }
 
+    /// Drain all arrivals at `master` for `cycles` cycles and return them.
+    fn drain(src: &mut SyntheticTraffic, master: usize, cycles: u64) -> Vec<Transfer> {
+        let mut out = Vec::new();
+        for now in 0..cycles {
+            while let Some(t) = src.poll(master, now) {
+                out.push(t);
+            }
+        }
+        out
+    }
+
+    /// Whether `pattern` leaves some master of a `cols`×`rows` mesh with no
+    /// eligible slave.
+    fn leaves_a_master_unreached(pattern: SyntheticPattern, cols: usize, rows: usize) -> bool {
+        pattern
+            .eligible_slaves(cols, rows)
+            .iter()
+            .any(Vec::is_empty)
+    }
+
     #[test]
     fn all_global_single_center_slave() {
         // Paper: endpoint (2, 1) on the 4×4 mesh.
@@ -423,9 +344,9 @@ mod tests {
 
     #[test]
     fn two_hop_destinations_within_two_hops() {
-        let src = SyntheticTraffic::new(cfg(SyntheticPattern::MaxTwoHop));
-        for m in 0..16 {
-            for &d in src.eligible(m) {
+        let eligible = SyntheticPattern::MaxTwoHop.eligible_slaves(4, 4);
+        for (m, list) in eligible.iter().enumerate() {
+            for &d in list {
                 assert!(hop_distance(4, m, d) <= 2, "master {m} → {d}");
             }
         }
@@ -433,10 +354,9 @@ mod tests {
 
     #[test]
     fn single_hop_destinations_within_one_hop() {
+        let eligible = SyntheticPattern::MaxSingleHop.eligible_slaves(4, 4);
+        assert!(eligible.iter().all(|list| !list.is_empty()));
         let mut src = SyntheticTraffic::new(cfg(SyntheticPattern::MaxSingleHop));
-        for m in 0..16 {
-            assert!(!src.eligible(m).is_empty());
-        }
         for now in 0..1000 {
             for m in 0..16 {
                 while let Some(t) = src.poll(m, now) {
@@ -460,19 +380,150 @@ mod tests {
 
     #[test]
     fn corner_master_has_single_hop_choice() {
-        let src = SyntheticTraffic::new(cfg(SyntheticPattern::MaxSingleHop));
         // Corner (0,0) = node 0: neighbors (1,0)=1 and (0,1)=4 are slaves.
-        let mut e = src.eligible(0).to_vec();
-        e.sort_unstable();
-        assert_eq!(e, vec![1, 4]);
+        let eligible = SyntheticPattern::MaxSingleHop.eligible_slaves(4, 4);
+        assert_eq!(eligible[0], vec![1, 4]);
     }
 
     #[test]
     fn slave_node_itself_allowed_in_single_hop() {
-        let src = SyntheticTraffic::new(cfg(SyntheticPattern::MaxSingleHop));
         // Node 1 hosts a slave; distance 0 ≤ 1, so it may target itself
         // (local-port traffic, Fig. 5 inset).
-        assert!(src.eligible(1).contains(&1));
+        let eligible = SyntheticPattern::MaxSingleHop.eligible_slaves(4, 4);
+        assert!(eligible[1].contains(&1));
+    }
+
+    #[test]
+    fn all_global_reaches_every_master_on_any_mesh() {
+        for cols in 3..=9 {
+            for rows in 3..=9 {
+                assert!(
+                    !leaves_a_master_unreached(SyntheticPattern::AllGlobal, cols, rows),
+                    "{cols}x{rows}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn two_hop_reach_ends_once_a_side_exceeds_four_nodes() {
+        for cols in 3..=9 {
+            for rows in 3..=9 {
+                assert_eq!(
+                    leaves_a_master_unreached(SyntheticPattern::MaxTwoHop, cols, rows),
+                    cols > 4 || rows > 4,
+                    "{cols}x{rows}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn single_hop_reach_ends_once_both_sides_reach_five_nodes() {
+        for cols in 3..=9 {
+            for rows in 3..=9 {
+                assert_eq!(
+                    leaves_a_master_unreached(SyntheticPattern::MaxSingleHop, cols, rows),
+                    cols >= 5 && rows >= 5,
+                    "{cols}x{rows}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "master 0 has no eligible slave")]
+    fn unreached_master_rejected() {
+        // 5x3: the single two-hop slave sits at (2, 1), three hops from
+        // the corner master (0, 0).
+        let _ = SyntheticTraffic::new(SyntheticConfig {
+            cols: 5,
+            rows: 3,
+            ..cfg(SyntheticPattern::MaxTwoHop)
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "load must be positive")]
+    fn zero_load_rejected() {
+        let _ = SyntheticTraffic::new(SyntheticConfig {
+            load: 0.0,
+            ..cfg(SyntheticPattern::AllGlobal)
+        });
+    }
+
+    #[test]
+    fn offered_load_matches_request() {
+        let mut src = SyntheticTraffic::new(SyntheticConfig {
+            load: 0.5,
+            max_transfer: 100,
+            ..cfg(SyntheticPattern::MaxSingleHop)
+        });
+        let cycles = 200_000;
+        let transfers = drain(&mut src, 0, cycles);
+        let bytes: u64 = transfers.iter().map(|t| t.bytes).sum();
+        let offered = bytes as f64 / cycles as f64;
+        let expected = 0.5 * 4.0;
+        assert!(
+            (offered - expected).abs() / expected < 0.05,
+            "offered {offered} expected {expected}"
+        );
+    }
+
+    #[test]
+    fn sizes_and_offsets_within_range() {
+        let mut src = SyntheticTraffic::new(SyntheticConfig {
+            region_size: 4096,
+            ..cfg(SyntheticPattern::MaxTwoHop)
+        });
+        let transfers = drain(&mut src, 3, 10_000);
+        assert!(!transfers.is_empty());
+        for t in transfers {
+            assert!((1..=1000).contains(&t.bytes));
+            assert!(t.offset + t.bytes <= 4096);
+        }
+    }
+
+    #[test]
+    fn read_fraction_respected() {
+        let mut src = SyntheticTraffic::new(SyntheticConfig {
+            read_fraction: 0.25,
+            max_transfer: 64,
+            ..cfg(SyntheticPattern::MaxTwoHop)
+        });
+        let transfers = drain(&mut src, 0, 100_000);
+        let reads = transfers
+            .iter()
+            .filter(|t| t.kind == TransferKind::Read)
+            .count() as f64;
+        let frac = reads / transfers.len() as f64;
+        assert!((frac - 0.25).abs() < 0.03, "fraction {frac}");
+    }
+
+    #[test]
+    fn deterministic_for_same_seed() {
+        let mut a = SyntheticTraffic::new(cfg(SyntheticPattern::MaxSingleHop));
+        let mut b = SyntheticTraffic::new(cfg(SyntheticPattern::MaxSingleHop));
+        assert_eq!(drain(&mut a, 5, 5000), drain(&mut b, 5, 5000));
+    }
+
+    #[test]
+    fn masters_are_decorrelated() {
+        let mut src = SyntheticTraffic::new(cfg(SyntheticPattern::AllGlobal));
+        let a = drain(&mut src, 0, 2000);
+        let b = drain(&mut src, 1, 2000);
+        assert_ne!(a.first().map(|t| t.bytes), b.first().map(|t| t.bytes));
+    }
+
+    #[test]
+    fn ids_are_unique_and_carry_the_master() {
+        let mut src = SyntheticTraffic::new(cfg(SyntheticPattern::MaxTwoHop));
+        let transfers = drain(&mut src, 4, 5000);
+        assert!(transfers.iter().all(|t| t.id >> 48 == 4));
+        let mut ids: Vec<u64> = transfers.iter().map(|t| t.id).collect();
+        ids.sort_unstable();
+        ids.dedup();
+        assert_eq!(ids.len(), transfers.len());
     }
 
     #[test]
@@ -482,129 +533,8 @@ mod tests {
     }
 
     #[test]
-    fn transpose_mirrors_coordinates() {
-        // Every node is a slave, and master (x, y) targets exactly (y, x).
-        assert_eq!(
-            SyntheticPattern::Transpose.slave_nodes(4, 4),
-            (0..16).collect::<Vec<_>>()
-        );
-        let src = SyntheticTraffic::new(cfg(SyntheticPattern::Transpose));
-        assert_eq!(src.eligible(1), &[4]); // (1,0) → (0,1)
-        assert_eq!(src.eligible(7), &[13]); // (3,1) → (1,3)
-        assert_eq!(src.eligible(5), &[5]); // diagonal: self-traffic
-        for m in 0..16 {
-            let (x, y) = (m % 4, m / 4);
-            assert_eq!(src.eligible(m), &[x * 4 + y]);
-        }
-    }
-
-    #[test]
-    fn bit_complement_crosses_the_center() {
-        let src = SyntheticTraffic::new(cfg(SyntheticPattern::BitComplement));
-        for m in 0..16 {
-            assert_eq!(src.eligible(m), &[15 - m]);
-        }
-        // Every transfer spans the full mesh diagonal distance from its
-        // master: (x, y) → (3−x, 3−y).
-        assert_eq!(hop_distance(4, 0, 15), 6);
-    }
-
-    #[test]
-    fn transpose_traffic_only_emits_partner_destinations() {
-        let mut src = SyntheticTraffic::new(cfg(SyntheticPattern::Transpose));
-        for now in 0..200 {
-            for m in 0..16 {
-                while let Some(t) = src.poll(m, now) {
-                    let (x, y) = (m % 4, m / 4);
-                    assert_eq!(t.dst, x * 4 + y);
-                }
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "square")]
-    fn transpose_rejects_rectangular_meshes() {
-        let _ = SyntheticPattern::Transpose.slave_nodes(4, 3);
-    }
-
-    #[test]
-    fn hotspot_slaves_everywhere_hot_node_at_the_center() {
-        let p = SyntheticPattern::Hotspot { skew_pct: 70 };
-        assert_eq!(p.slave_nodes(4, 4), (0..16).collect::<Vec<_>>());
-        // Same center endpoint AllGlobal uses: (x=2, y=1) → 6 on 4×4.
-        assert_eq!(p.hot_node(4, 4), Some(6));
-        assert_eq!(SyntheticPattern::AllGlobal.hot_node(4, 4), None);
-        assert_eq!(p.max_hops(), None);
-        assert_eq!(p.fixed_destination(4, 4, 3), None);
-    }
-
-    #[test]
-    fn hotspot_skew_concentrates_traffic_on_the_hot_node() {
-        let mut src = SyntheticTraffic::new(cfg(SyntheticPattern::Hotspot { skew_pct: 70 }));
-        let mut hot = 0u64;
-        let mut total = 0u64;
-        for now in 0..20_000 {
-            for m in 0..16 {
-                while let Some(t) = src.poll(m, now) {
-                    total += 1;
-                    if t.dst == 6 {
-                        hot += 1;
-                    }
-                }
-            }
-        }
-        assert!(total > 1_000, "expected a busy stream, got {total}");
-        // 70% aimed draws plus 1/16 of the uniform remainder ≈ 0.719.
-        let frac = hot as f64 / total as f64;
-        assert!(
-            (0.65..0.78).contains(&frac),
-            "hot fraction {frac} off the 70% skew"
-        );
-    }
-
-    #[test]
-    fn hotspot_cold_side_covers_the_whole_mesh() {
-        let mut src = SyntheticTraffic::new(cfg(SyntheticPattern::Hotspot { skew_pct: 30 }));
-        let mut seen = [false; 16];
-        for now in 0..5_000 {
-            for m in 0..16 {
-                while let Some(t) = src.poll(m, now) {
-                    seen[t.dst] = true;
-                }
-            }
-        }
-        assert!(
-            seen.iter().all(|&s| s),
-            "cold destinations missing: {seen:?}"
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "skew must be in 1..=100")]
-    fn hotspot_zero_skew_rejected() {
-        let _ = SyntheticTraffic::new(cfg(SyntheticPattern::Hotspot { skew_pct: 0 }));
-    }
-
-    #[test]
-    #[should_panic(expected = "skew must be in 1..=100")]
-    fn hotspot_overfull_skew_rejected_at_placement() {
-        let _ = SyntheticPattern::Hotspot { skew_pct: 101 }.slave_nodes(4, 4);
-    }
-
-    #[test]
-    fn hotspot_checkpoints_are_skew_specific() {
-        let src = SyntheticTraffic::new(cfg(SyntheticPattern::Hotspot { skew_pct: 70 }));
-        let bytes = src.snapshot_state().unwrap();
-        let mut other = SyntheticTraffic::new(cfg(SyntheticPattern::Hotspot { skew_pct: 71 }));
-        assert!(!other.restore_state(&bytes), "skew is part of the shape");
-        let mut same = SyntheticTraffic::new(cfg(SyntheticPattern::Hotspot { skew_pct: 70 }));
-        assert!(same.restore_state(&bytes));
-    }
-
-    #[test]
     fn next_arrival_bounds_the_first_poll() {
-        let mut c = cfg(SyntheticPattern::Hotspot { skew_pct: 50 });
+        let mut c = cfg(SyntheticPattern::MaxTwoHop);
         c.load = 0.001;
         let mut src = SyntheticTraffic::new(c);
         // Drain cycle 0, then the horizon must be future-dated and no poll
@@ -648,10 +578,34 @@ mod tests {
     }
 
     #[test]
+    fn corrupt_checkpoint_refused_and_state_untouched() {
+        let mut src = SyntheticTraffic::new(cfg(SyntheticPattern::MaxTwoHop));
+        let _ = drain(&mut src, 0, 200);
+        let mut bytes = src.snapshot_state().unwrap();
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0x01;
+        let mut target = SyntheticTraffic::new(cfg(SyntheticPattern::MaxTwoHop));
+        let before = target.snapshot_state().unwrap();
+        assert!(!target.restore_state(&bytes));
+        assert_eq!(target.snapshot_state().unwrap(), before);
+    }
+
+    #[test]
+    fn checkpoint_from_a_different_mesh_refused() {
+        let src = SyntheticTraffic::new(cfg(SyntheticPattern::MaxTwoHop));
+        let bytes = src.snapshot_state().unwrap();
+        let mut shorter = SyntheticTraffic::new(SyntheticConfig {
+            rows: 3,
+            ..cfg(SyntheticPattern::MaxTwoHop)
+        });
+        assert!(!shorter.restore_state(&bytes));
+    }
+
+    #[test]
     fn checkpoint_from_a_different_pattern_refused() {
         let src = SyntheticTraffic::new(cfg(SyntheticPattern::AllGlobal));
         let bytes = src.snapshot_state().unwrap();
-        let mut other = SyntheticTraffic::new(cfg(SyntheticPattern::Transpose));
+        let mut other = SyntheticTraffic::new(cfg(SyntheticPattern::MaxSingleHop));
         let before = other.snapshot_state().unwrap();
         assert!(!other.restore_state(&bytes));
         assert_eq!(other.snapshot_state().unwrap(), before);
