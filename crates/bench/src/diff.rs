@@ -214,7 +214,10 @@ impl ScalingComparison {
     /// mesh's noise factor. A small mesh burns through a quick window in
     /// a few milliseconds of wall time, so its speed measurement carries
     /// proportionally more scheduler jitter; a 32×32 run is long enough
-    /// for the base threshold to apply unscaled.
+    /// for the base threshold to apply unscaled. The scaled threshold is
+    /// capped at `(1 + base) / 2`, which stays below 1 for any base below
+    /// 1: a drop of 100 % or more would need a negative speed, so such a
+    /// gate could never trip.
     #[must_use]
     pub fn threshold(&self, base: f64) -> f64 {
         let noise = match self.dim {
@@ -222,7 +225,7 @@ impl ScalingComparison {
             9..=16 => 1.5,
             _ => 1.0,
         };
-        base * noise
+        (base * noise).min((1.0 + base) / 2.0)
     }
 
     /// Whether this mesh regressed by more than its per-size threshold.
@@ -578,6 +581,15 @@ mod tests {
         // The 2-thread speedups ride along for the report.
         assert_eq!(cmp[2].baseline_speedup_2t, Some(1.7));
         assert_eq!(cmp[2].current_speedup_2t, Some(1.7));
+        // At CI's 50 % base the 8×8 noise factor would reach 100 %, a drop
+        // no speed can make; the cap keeps that gate at 75 %, so an 8×8
+        // mesh at a fifth of its baseline speed regresses.
+        let slow = parse_scaling_points(&scaling_doc(vec![mesh("8x8", 4e6 * 0.2)])).unwrap();
+        let cmp_slow = compare_scaling(&base, &slow);
+        assert!((cmp_slow[0].threshold(0.5) - 0.75).abs() < 1e-12);
+        assert!((cmp[1].threshold(0.5) - 0.75).abs() < 1e-12);
+        assert!((cmp[2].threshold(0.5) - 0.5).abs() < 1e-12);
+        assert!(cmp_slow[0].regressed(0.5), "8x8 at 20 % of its baseline");
         // Meshes missing from the current sweep are skipped, not fatal.
         let cmp = compare_scaling(&base, &cur[..1]);
         assert_eq!(cmp.len(), 1);

@@ -28,8 +28,7 @@ const WARMUP: u64 = 2_000;
 fn uniform_cfg(dw_bits: u32, load: f64, max_transfer: u64, seed: u64) -> UniformConfig {
     // The old `bench::uniform_cfg` helper, 16-master literals included.
     UniformConfig {
-        masters: 16,
-        slaves: (0..16).collect(),
+        nodes: 16,
         load,
         bytes_per_cycle: f64::from(dw_bits) / 8.0,
         max_transfer,
@@ -457,8 +456,7 @@ impl Golden {
 
 fn golden_uniform_cfg(load: f64, max_transfer: u64, seed: u64) -> UniformConfig {
     UniformConfig {
-        masters: 16,
-        slaves: (0..16).collect(),
+        nodes: 16,
         load,
         bytes_per_cycle: 4.0,
         max_transfer,

@@ -1166,8 +1166,7 @@ mod tests {
     fn ni_queue_cap_bounds_backlog() {
         let mut sim = PacketNocSim::new(PacketNocConfig::noxim_compact());
         let mut src = traffic::UniformRandom::new(traffic::UniformConfig {
-            masters: 16,
-            slaves: (0..16).collect(),
+            nodes: 16,
             load: 1.0,
             bytes_per_cycle: 4.0,
             max_transfer: 100,
@@ -1188,8 +1187,7 @@ mod tests {
     /// The Poisson workload the stepping cross-checks below share.
     fn uniform(load: f64) -> traffic::UniformRandom {
         traffic::UniformRandom::new(traffic::UniformConfig {
-            masters: 16,
-            slaves: (0..16).collect(),
+            nodes: 16,
             load,
             bytes_per_cycle: 4.0,
             max_transfer: 100,
@@ -1444,8 +1442,7 @@ mod tests {
     /// capture point.
     fn poisson(seed: u64) -> traffic::UniformRandom {
         traffic::UniformRandom::new_copies(traffic::UniformConfig {
-            masters: 16,
-            slaves: (0..16).collect(),
+            nodes: 16,
             load: 0.6,
             bytes_per_cycle: 4.0,
             max_transfer: 100,

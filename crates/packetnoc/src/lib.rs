@@ -29,8 +29,7 @@
 //! let cfg = PacketNocConfig::noxim_high_performance(); // 4 VCs, 32 flits
 //! let mut sim = PacketNocSim::new(cfg);
 //! let mut src = UniformRandom::new(UniformConfig {
-//!     masters: 16,
-//!     slaves: (0..16).collect(),
+//!     nodes: 16,
 //!     load: 0.5,
 //!     bytes_per_cycle: 4.0,
 //!     max_transfer: 32,

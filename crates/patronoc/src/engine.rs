@@ -1553,8 +1553,7 @@ mod tests {
     /// The Poisson workload the stepping cross-checks below share.
     fn uniform(load: f64) -> traffic::UniformRandom {
         traffic::UniformRandom::new_copies(traffic::UniformConfig {
-            masters: 16,
-            slaves: (0..16).collect(),
+            nodes: 16,
             load,
             bytes_per_cycle: 4.0,
             max_transfer: 1000,
@@ -1817,8 +1816,7 @@ mod tests {
 
     fn poisson(seed: u64) -> traffic::UniformRandom {
         traffic::UniformRandom::new_copies(traffic::UniformConfig {
-            masters: 16,
-            slaves: (0..16).collect(),
+            nodes: 16,
             load: 0.6,
             bytes_per_cycle: 4.0,
             max_transfer: 1000,

@@ -23,8 +23,7 @@
 //! let cfg = NocConfig::slim_4x4();
 //! let mut sim = NocSim::new(cfg)?;
 //! let mut workload = UniformRandom::new(UniformConfig {
-//!     masters: 16,
-//!     slaves: (0..16).collect(),
+//!     nodes: 16,
 //!     load: 0.9,
 //!     bytes_per_cycle: 4.0,
 //!     max_transfer: 1000,

@@ -403,23 +403,14 @@ impl Scenario {
         match self.traffic {
             TrafficSpec::Uniform {
                 load, max_transfer, ..
-            } => {
-                check_rate(load, max_transfer)?;
-                if max_transfer > self.region_size {
-                    return invalid(format!(
-                        "max_transfer {max_transfer} exceeds the {}-byte region",
-                        self.region_size
-                    ));
-                }
-                Ok(())
-            }
+            } => self.check_stochastic(load, max_transfer),
             TrafficSpec::Synthetic {
                 pattern,
                 load,
                 max_transfer,
                 ..
             } => {
-                check_rate(load, max_transfer)?;
+                self.check_stochastic(load, max_transfer)?;
                 let (cols, rows) = self.synthetic_mesh()?;
                 match pattern
                     .eligible_slaves(cols, rows)
@@ -451,6 +442,23 @@ impl Scenario {
         }
     }
 
+    /// The stochastic sources' shared preconditions: a positive load, and
+    /// transfers of at least one byte that fit in a region.
+    fn check_stochastic(&self, load: f64, max_transfer: u64) -> Result<(), ScenarioError> {
+        if load.is_nan() || load <= 0.0 || max_transfer == 0 {
+            return Err(ScenarioError::Invalid(format!(
+                "traffic needs a positive load and max_transfer, got {load} and {max_transfer}"
+            )));
+        }
+        if max_transfer > self.region_size {
+            return Err(ScenarioError::Invalid(format!(
+                "max_transfer {max_transfer} exceeds the {}-byte region",
+                self.region_size
+            )));
+        }
+        Ok(())
+    }
+
     /// Builds the concrete PATRONoC simulator — for probes the [`Engine`]
     /// trait does not carry (link occupancy, per-slave byte counters).
     ///
@@ -471,8 +479,16 @@ impl Scenario {
     /// [`ScenarioError::PacketNeedsMesh`] for a packet scenario on a
     /// non-mesh topology; [`ScenarioError::SyntheticNeedsMesh`] for a
     /// synthetic pattern off a mesh; [`ScenarioError::Invalid`] for a
-    /// spec the engine or the traffic source cannot model.
+    /// topology [`Topology::is_valid`] rejects, or a spec the engine or
+    /// the traffic source cannot model.
     pub fn build_engine(&self) -> Result<Box<dyn Engine>, ScenarioError> {
+        if !self.topology.is_valid() {
+            return Err(ScenarioError::Invalid(format!(
+                "a {} is not a valid topology: a mesh or ring needs at least two \
+                 nodes, a torus at least 3x3",
+                self.topology
+            )));
+        }
         self.check_traffic()?;
         match self.engine {
             EngineSpec::Patronoc => Ok(Box::new(self.build_noc_sim()?)),
@@ -517,8 +533,7 @@ impl Scenario {
                 copies,
             } => {
                 let cfg = UniformConfig {
-                    masters: n,
-                    slaves: (0..n).collect(),
+                    nodes: n,
                     load,
                     bytes_per_cycle: self.bytes_per_cycle(),
                     max_transfer,
@@ -828,17 +843,6 @@ impl Scenario {
             ("full_sweep", Json::Bool(self.full_sweep)),
         ])
     }
-}
-
-/// The stochastic sources' shared preconditions: a positive load and a
-/// non-zero transfer size.
-fn check_rate(load: f64, max_transfer: u64) -> Result<(), ScenarioError> {
-    if load.is_nan() || load <= 0.0 || max_transfer == 0 {
-        return Err(ScenarioError::Invalid(format!(
-            "traffic needs a positive load and max_transfer, got {load} and {max_transfer}"
-        )));
-    }
-    Ok(())
 }
 
 #[cfg(test)]

@@ -238,6 +238,23 @@ fn unmodellable_scenarios() -> Vec<(&'static str, Scenario)> {
                 .traffic(TrafficSpec::uniform(0.5, 1_000)),
         ),
         (
+            "synthetic transfers larger than a region",
+            windowed
+                .clone()
+                .region_size(4096)
+                .traffic(TrafficSpec::synthetic(
+                    SyntheticPattern::MaxSingleHop,
+                    64_000,
+                )),
+        ),
+        (
+            "uniform copies on a 1x1 mesh",
+            windowed
+                .clone()
+                .topology(mesh(1, 1))
+                .traffic(TrafficSpec::uniform_copies(0.5, 1_000)),
+        ),
+        (
             "synthetic load 0",
             windowed
                 .clone()

@@ -19,7 +19,7 @@ fn engine_strategy() -> impl Strategy<Value = EngineSpec> {
 }
 
 /// Loads span idle (where skipping dominates) through saturated (where
-/// it must stand down); dnn traffic exercises the dependency-driven
+/// it must stand down); dnn traffic exercises the completion-driven
 /// horizon, the Fig. 5 patterns the localized synthetic one.
 fn traffic_strategy() -> impl Strategy<Value = TrafficSpec> {
     prop_oneof![

@@ -3,9 +3,8 @@
 //! The paper uses GVSoC (a full-system RISC-V SoC simulator) to extract the
 //! traffic of three CNN deployment schemes and replays it against the RTL.
 //! The NoC only observes the resulting *transfer trace* — who moves how many
-//! bytes to whom, and in which dependency order — so this module generates
-//! equivalent traces directly from a ResNet-34 layer graph (with the paper's
-//! 90 % channel-shrink factor) deployed on 16 cores:
+//! bytes to whom, in which order — so this module generates equivalent
+//! traces directly from a ResNet-34 layer graph deployed on 16 cores:
 //!
 //! * [`DnnWorkload::DistributedTraining`] — model replication: each core
 //!   runs forward and backward passes (weight reads from shared L2) followed
@@ -13,17 +12,22 @@
 //!   L2↔L1 and L1↔L1 traffic.
 //! * [`DnnWorkload::ParallelConv`] — layer-parallel inference: every layer
 //!   is tiled across all cores; pure L2→L1 (weights + input tiles) and
-//!   L1→L2 (output tiles) traffic with a barrier between layers.
+//!   L1→L2 (output tiles) traffic.
 //! * [`DnnWorkload::PipelinedConv`] — depth-first inference: consecutive
 //!   layers are mapped to consecutive cores and image tiles stream through
 //!   the pipeline; almost pure L1→L1 neighbour traffic, with only core 0 and
 //!   core 15 touching L2.
+//!
+//! The trace is replayed as the paper re-injects extracted patterns: each
+//! core issues its own transfers in trace order, one at a time, the next
+//! once the previous has retired. Cores never wait on each other, so a run
+//! measures the NoC's capacity under the workload's spatial pattern, not
+//! the workload's critical path.
 
-use crate::chkpt::{self, corrupt};
+use crate::arrivals::{corrupt, SNAP_KIND};
 use crate::source::{TrafficSource, Transfer, TransferKind};
 use simkit::snap::{DecodeLimits, Decoder, Encoder, SnapError};
 use simkit::{Cycle, Horizon, Rng};
-use std::collections::VecDeque;
 
 /// One convolutional (or fully-connected) layer of the network.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -168,7 +172,29 @@ impl DnnWorkload {
             Self::PipelinedConv => "Pipe Conv",
         }
     }
+
+    /// The channel scaling of the ResNet-34 this workload deploys.
+    ///
+    /// Distributed training replicates the model on every core, so it uses
+    /// the paper's 90 % channel shrink, 0.1 (16 replicas must fit the
+    /// cores' memories); the same shrunk model is tiled for the
+    /// layer-parallel schedule. The pipelined (depth-first) schedule instead
+    /// *partitions* one network across the 16 cores — each core holds only
+    /// its own layers' weights, resident in its L1 before the measurement —
+    /// so it runs the model at 0.9, near full channel width, which is the
+    /// regime depth-first dataflows are designed for (high-resolution
+    /// activations streaming core to core).
+    #[must_use]
+    pub fn channel_scale(self) -> f64 {
+        match self {
+            Self::PipelinedConv => 0.9,
+            Self::DistributedTraining | Self::ParallelConv => 0.1,
+        }
+    }
 }
+
+/// Row tiles each image is cut into by the pipelined schedule.
+const PIPELINE_TILES: u64 = 8;
 
 /// Configuration for [`DnnTraffic`].
 #[derive(Debug, Clone)]
@@ -179,25 +205,8 @@ pub struct DnnConfig {
     pub cores: usize,
     /// Node hosting the shared L2 memory.
     pub l2_node: usize,
-    /// Channel scaling (0.1 = the paper's 90 % shrink).
-    pub channel_scale: f64,
-    /// Row tiles for the pipelined schedule.
-    pub tiles: usize,
     /// Training steps / images to process.
     pub steps: usize,
-    /// Pipelined schedule only: weights stay resident in each stage's L1
-    /// (preloaded before the measurement), so the steady-state trace carries
-    /// activations only. With `false`, per-stage weight reads from L2 are
-    /// prepended to the trace.
-    pub pipeline_weights_resident: bool,
-    /// Trace replay mode (the default, matching the paper's methodology):
-    /// transfers are ordered only *within* each core — every core replays
-    /// its extracted traffic sequence back-to-back, as when GVSoC-generated
-    /// patterns are re-injected into the RTL simulation. With `replay =
-    /// false` the full cross-core dependency graph is enforced instead
-    /// (producer→consumer), which measures the *workload's* critical path
-    /// rather than the NoC's capacity under the workload's spatial pattern.
-    pub replay: bool,
     /// Per-endpoint address region size (offsets kept in range).
     pub region_size: u64,
     /// RNG seed for offset placement.
@@ -210,11 +219,7 @@ impl Default for DnnConfig {
             workload: DnnWorkload::ParallelConv,
             cores: 16,
             l2_node: 6, // endpoint (2,1) of the 4×4 mesh, like Fig. 5a
-            channel_scale: 0.1,
-            tiles: 8,
             steps: 1,
-            pipeline_weights_resident: true,
-            replay: true,
             region_size: 1 << 24,
             seed: 1,
         }
@@ -222,28 +227,12 @@ impl Default for DnnConfig {
 }
 
 impl DnnConfig {
-    /// Per-workload evaluation defaults.
-    ///
-    /// Distributed training replicates the model on every core, so it uses
-    /// the paper's 90 % channel shrink (16 replicas must fit the cores'
-    /// memories); the same shrunk model is tiled for the layer-parallel
-    /// schedule. The pipelined (depth-first) schedule instead *partitions*
-    /// one network across the 16 cores — each core holds only its own
-    /// layers' weights — so it runs the model at full channel width with
-    /// weights resident, which is the regime depth-first dataflows are
-    /// designed for (high-resolution activations streaming core to core).
+    /// The defaults, running `workload`.
     #[must_use]
     pub fn for_workload(workload: DnnWorkload) -> Self {
-        let base = Self {
+        Self {
             workload,
             ..Self::default()
-        };
-        match workload {
-            DnnWorkload::PipelinedConv => Self {
-                channel_scale: 0.9,
-                ..base
-            },
-            _ => base,
         }
     }
 }
@@ -256,52 +245,46 @@ struct TraceEntry {
     kind: TransferKind,
 }
 
-/// A dependency-ordered transfer trace implementing [`TrafficSource`].
+/// Appends a transfer of at least one byte to the trace.
+fn push(trace: &mut Vec<TraceEntry>, master: usize, dst: usize, bytes: u64, kind: TransferKind) {
+    trace.push(TraceEntry {
+        master,
+        dst,
+        bytes: bytes.max(1),
+        kind,
+    });
+}
+
+/// One core's share of the trace and its replay progress.
+#[derive(Debug, Clone, Default)]
+struct CoreQueue {
+    /// The core's entry indices, in trace order.
+    entries: Vec<u32>,
+    /// Entries handed out by `poll`.
+    issued: usize,
+    /// Entries whose completion has been observed.
+    retired: usize,
+}
+
+impl CoreQueue {
+    /// Whether the core has a next entry and nothing in flight.
+    fn is_ready(&self) -> bool {
+        self.issued == self.retired && self.issued < self.entries.len()
+    }
+}
+
+/// A DNN transfer trace implementing [`TrafficSource`], replayed per core.
 ///
-/// Entries become pollable once all their dependencies have completed;
-/// [`TrafficSource::on_complete`] drives the dependency graph forward.
+/// A core's next transfer becomes pollable once its previous one has
+/// completed ([`TrafficSource::on_complete`]); see the
+/// [module documentation](self).
 #[derive(Debug, Clone)]
 pub struct DnnTraffic {
+    /// The trace in order: a transfer's id is its index.
     entries: Vec<TraceEntry>,
     offsets: Vec<u64>,
-    dependents: Vec<Vec<u32>>,
-    remaining_deps: Vec<u32>,
-    ready: Vec<VecDeque<u32>>,
+    cores: Vec<CoreQueue>,
     completed: usize,
-}
-
-/// Helper that accumulates trace entries and dependencies.
-struct TraceBuilder {
-    entries: Vec<TraceEntry>,
-    deps: Vec<Vec<u32>>,
-}
-
-impl TraceBuilder {
-    fn new() -> Self {
-        Self {
-            entries: Vec::new(),
-            deps: Vec::new(),
-        }
-    }
-
-    fn add(
-        &mut self,
-        master: usize,
-        dst: usize,
-        bytes: u64,
-        kind: TransferKind,
-        deps: Vec<u32>,
-    ) -> u32 {
-        let idx = self.entries.len() as u32;
-        self.entries.push(TraceEntry {
-            master,
-            dst,
-            bytes: bytes.max(1),
-            kind,
-        });
-        self.deps.push(deps);
-        idx
-    }
 }
 
 impl DnnTraffic {
@@ -309,248 +292,129 @@ impl DnnTraffic {
     ///
     /// # Panics
     ///
-    /// Panics on degenerate configurations (zero cores/tiles/steps, or an
-    /// L2 node outside the core range when cores host the slaves).
+    /// Panics on degenerate configurations (fewer than two cores, zero
+    /// steps, or more pipeline stages than ResNet-34 layers).
     #[must_use]
     pub fn new(cfg: &DnnConfig) -> Self {
         assert!(cfg.cores >= 2, "need at least two cores");
-        assert!(cfg.tiles >= 1 && cfg.steps >= 1);
-        let layers = resnet34_layers(cfg.channel_scale);
-        let mut b = TraceBuilder::new();
-        match cfg.workload {
-            DnnWorkload::ParallelConv => Self::build_parallel(cfg, &layers, &mut b),
-            DnnWorkload::DistributedTraining => Self::build_training(cfg, &layers, &mut b),
-            DnnWorkload::PipelinedConv => Self::build_pipeline(cfg, &layers, &mut b),
-        }
-        if cfg.replay {
-            // Replay mode: keep only intra-core ordering (each core streams
-            // its trace back-to-back, like the paper's pattern re-injection).
-            let mut last_of_master: Vec<Option<u32>> = Vec::new();
-            for (i, e) in b.entries.iter().enumerate() {
-                if e.master >= last_of_master.len() {
-                    last_of_master.resize(e.master + 1, None);
-                }
-                b.deps[i] = match last_of_master[e.master] {
-                    Some(prev) => vec![prev],
-                    None => Vec::new(),
-                };
-                last_of_master[e.master] = Some(i as u32);
-            }
-        }
-        Self::from_builder(cfg, b)
-    }
-
-    fn from_builder(cfg: &DnnConfig, b: TraceBuilder) -> Self {
-        let n = b.entries.len();
-        let mut dependents = vec![Vec::new(); n];
-        let mut remaining = vec![0u32; n];
-        for (i, deps) in b.deps.iter().enumerate() {
-            remaining[i] = deps.len() as u32;
-            for &d in deps {
-                dependents[d as usize].push(i as u32);
-            }
-        }
-        let masters = b.entries.iter().map(|e| e.master).max().unwrap_or(0) + 1;
-        let mut ready = vec![VecDeque::new(); masters];
-        for (i, &r) in remaining.iter().enumerate() {
-            if r == 0 {
-                ready[b.entries[i].master].push_back(i as u32);
-            }
+        assert!(cfg.steps >= 1, "need at least one step");
+        let layers = resnet34_layers(cfg.workload.channel_scale());
+        let entries = match cfg.workload {
+            DnnWorkload::ParallelConv => Self::build_parallel(cfg, &layers),
+            DnnWorkload::DistributedTraining => Self::build_training(cfg, &layers),
+            DnnWorkload::PipelinedConv => Self::build_pipeline(cfg, &layers),
+        };
+        let mut cores = vec![CoreQueue::default(); cfg.cores];
+        for (i, e) in entries.iter().enumerate() {
+            cores[e.master].entries.push(i as u32);
         }
         let mut rng = Rng::new(cfg.seed);
-        let offsets = b
-            .entries
+        let offsets = entries
             .iter()
-            .map(|e| {
-                let max = cfg.region_size.saturating_sub(e.bytes);
-                if max == 0 {
-                    0
-                } else {
-                    rng.gen_range(max)
-                }
+            .map(|e| match cfg.region_size.saturating_sub(e.bytes) {
+                0 => 0,
+                max => rng.gen_range(max),
             })
             .collect();
         Self {
-            entries: b.entries,
+            entries,
             offsets,
-            dependents,
-            remaining_deps: remaining,
-            ready,
+            cores,
             completed: 0,
         }
     }
 
-    /// Layer-parallel inference: each layer tiled across all cores with a
-    /// global barrier between layers (Fig. 7b).
-    fn build_parallel(cfg: &DnnConfig, layers: &[ConvLayer], b: &mut TraceBuilder) {
+    /// Layer-parallel inference: each layer tiled across all cores
+    /// (Fig. 7b). Per step, layer and core: a read of the core's ifmap
+    /// share, a weight read, and a write of its ofmap share.
+    fn build_parallel(cfg: &DnnConfig, layers: &[ConvLayer]) -> Vec<TraceEntry> {
         let p = cfg.cores as u64;
-        let mut prev_writes: Vec<u32> = Vec::new();
+        let mut trace = Vec::new();
         for _step in 0..cfg.steps {
             for layer in layers {
-                let mut writes = Vec::with_capacity(cfg.cores);
                 for core in 0..cfg.cores {
-                    let barrier = prev_writes.clone();
-                    let r_in = b.add(
-                        core,
-                        cfg.l2_node,
-                        layer.ifmap_bytes() / p,
-                        TransferKind::Read,
-                        barrier.clone(),
-                    );
-                    let r_w = b.add(
-                        core,
-                        cfg.l2_node,
-                        layer.weight_bytes(),
-                        TransferKind::Read,
-                        barrier,
-                    );
-                    let w_out = b.add(
-                        core,
-                        cfg.l2_node,
-                        layer.ofmap_bytes() / p,
-                        TransferKind::Write,
-                        vec![r_in, r_w],
-                    );
-                    writes.push(w_out);
+                    for (bytes, kind) in [
+                        (layer.ifmap_bytes() / p, TransferKind::Read),
+                        (layer.weight_bytes(), TransferKind::Read),
+                        (layer.ofmap_bytes() / p, TransferKind::Write),
+                    ] {
+                        push(&mut trace, core, cfg.l2_node, bytes, kind);
+                    }
                 }
-                prev_writes = writes;
             }
         }
+        trace
     }
 
     /// Distributed training: per-core forward/backward weight traffic from
     /// L2 plus a ring reduce-scatter + all-gather of gradients (Fig. 7a).
-    fn build_training(cfg: &DnnConfig, layers: &[ConvLayer], b: &mut TraceBuilder) {
+    fn build_training(cfg: &DnnConfig, layers: &[ConvLayer]) -> Vec<TraceEntry> {
         let p = cfg.cores;
         let grad_bytes: u64 = layers.iter().map(ConvLayer::weight_bytes).sum();
         let chunk = (grad_bytes / p as u64).max(1);
-        let mut last_of_core: Vec<Option<u32>> = vec![None; p];
+        let mut trace = Vec::new();
         for _step in 0..cfg.steps {
-            // Forward: input batch + per-layer weights, serialized per core.
-            for (core, last_slot) in last_of_core.iter_mut().enumerate() {
-                let dep = |l: Option<u32>| l.map(|d| vec![d]).unwrap_or_default();
-                let mut last = *last_slot;
-                let r_in = b.add(
-                    core,
-                    cfg.l2_node,
-                    layers[0].ifmap_bytes(),
-                    TransferKind::Read,
-                    dep(last),
-                );
-                last = Some(r_in);
-                for layer in layers {
-                    let r = b.add(
-                        core,
-                        cfg.l2_node,
-                        layer.weight_bytes(),
-                        TransferKind::Read,
-                        vec![last.unwrap()],
-                    );
-                    last = Some(r);
+            // Forward: input batch, then the weights layer by layer; backward:
+            // the weights again (transposed), in reverse layer order.
+            for core in 0..p {
+                let input = layers[0].ifmap_bytes();
+                push(&mut trace, core, cfg.l2_node, input, TransferKind::Read);
+                for layer in layers.iter().chain(layers.iter().rev()) {
+                    let bytes = layer.weight_bytes();
+                    push(&mut trace, core, cfg.l2_node, bytes, TransferKind::Read);
                 }
-                // Backward: weights again (transposed) per layer.
-                for layer in layers.iter().rev() {
-                    let r = b.add(
-                        core,
-                        cfg.l2_node,
-                        layer.weight_bytes(),
-                        TransferKind::Read,
-                        vec![last.unwrap()],
-                    );
-                    last = Some(r);
-                }
-                *last_slot = last;
             }
-            // Ring all-reduce: 2(P−1) steps of chunk writes to the next core.
-            let mut prev_round: Vec<u32> = last_of_core.iter().map(|l| l.unwrap()).collect();
-            for _round in 0..(2 * (p - 1)) {
-                let mut this_round = Vec::with_capacity(p);
+            // Ring all-reduce: 2(P−1) rounds of chunk writes to the next core.
+            for _round in 0..2 * (p - 1) {
                 for core in 0..p {
-                    let next = (core + 1) % p;
-                    let pred = (core + p - 1) % p;
-                    // Depends on own previous round and on having received
-                    // the predecessor's chunk from the previous round.
-                    let deps = vec![prev_round[core], prev_round[pred]];
-                    let w = b.add(core, next, chunk, TransferKind::Write, deps);
-                    this_round.push(w);
+                    push(&mut trace, core, (core + 1) % p, chunk, TransferKind::Write);
                 }
-                prev_round = this_round;
-            }
-            for (last, &round) in last_of_core.iter_mut().zip(&prev_round) {
-                *last = Some(round);
             }
         }
+        trace
     }
 
     /// Depth-first pipeline: contiguous layer groups per core, image tiles
-    /// streaming through neighbouring cores (Fig. 7c).
-    fn build_pipeline(cfg: &DnnConfig, layers: &[ConvLayer], b: &mut TraceBuilder) {
+    /// streaming through neighbouring cores (Fig. 7c). Weights are resident,
+    /// so the trace carries activations only.
+    fn build_pipeline(cfg: &DnnConfig, layers: &[ConvLayer]) -> Vec<TraceEntry> {
         let p = cfg.cores;
         assert!(
             p <= layers.len(),
             "pipeline needs at least one layer per core"
         );
-        let t_count = cfg.tiles as u64;
         // Balanced contiguous layer ranges: stage s owns
-        // layers[s·L/p .. (s+1)·L/p), never empty for L ≥ p.
-        let range = |s: usize| (s * layers.len() / p, (s + 1) * layers.len() / p);
-        // Inter-stage tile: the *input* feature map of the next stage's
-        // first layer (this accounts for pooling between layer groups —
-        // e.g. the post-conv1 max-pool — which the sender applies before
-        // shipping). The last stage writes its own final output to L2.
-        let boundary_bytes: Vec<u64> = (0..p)
-            .map(|s| {
-                if s + 1 < p {
-                    layers[range(s + 1).0].ifmap_bytes()
+        // layers[s·L/p .. (s+1)·L/p), never empty for L ≥ p. A stage ships
+        // the *input* feature map of the next stage's first layer (this
+        // accounts for pooling between layer groups — e.g. the post-conv1
+        // max-pool — which the sender applies before shipping); the last
+        // stage writes its own final output to L2.
+        let boundary_bytes: Vec<u64> = (1..=p)
+            .map(|next| {
+                let first = next * layers.len() / p;
+                if next < p {
+                    layers[first].ifmap_bytes()
                 } else {
-                    layers[range(s).1 - 1].ofmap_bytes()
+                    layers[first - 1].ofmap_bytes()
                 }
             })
             .collect();
-        // Weight preload per stage (skipped when weights are resident).
-        let preload: Vec<Option<u32>> = (0..p)
-            .map(|s| {
-                if cfg.pipeline_weights_resident {
-                    return None;
-                }
-                let (start, end) = range(s);
-                let bytes: u64 = layers[start..end].iter().map(ConvLayer::weight_bytes).sum();
-                Some(b.add(s, cfg.l2_node, bytes.max(1), TransferKind::Read, vec![]))
-            })
-            .collect();
-        let mut prev_tile: Vec<Option<u32>> = vec![None; p + 1];
+        let mut trace = Vec::new();
         for _step in 0..cfg.steps {
-            for _tile in 0..cfg.tiles {
-                // Stage 0 fetches an input tile from L2.
-                let mut deps: Vec<u32> = preload[0].into_iter().collect();
-                if let Some(d) = prev_tile[0] {
-                    deps.push(d);
-                }
-                let r_in = b.add(
-                    0,
-                    cfg.l2_node,
-                    layers[0].ifmap_bytes() / t_count,
-                    TransferKind::Read,
-                    deps,
-                );
-                prev_tile[0] = Some(r_in);
-                // Each stage forwards its output tile to the next core's L1;
-                // the last stage writes results back to L2.
-                let mut upstream = r_in;
-                for s in 0..p {
+            for _tile in 0..PIPELINE_TILES {
+                // Stage 0 fetches an input tile from L2; each stage forwards
+                // its output tile to the next core's L1, and the last stage
+                // writes results back to L2.
+                let input = layers[0].ifmap_bytes() / PIPELINE_TILES;
+                push(&mut trace, 0, cfg.l2_node, input, TransferKind::Read);
+                for (s, &bytes) in boundary_bytes.iter().enumerate() {
                     let dst = if s == p - 1 { cfg.l2_node } else { s + 1 };
-                    let bytes = (boundary_bytes[s] / t_count).max(1);
-                    let mut deps = vec![upstream];
-                    deps.extend(preload[s]);
-                    if let Some(d) = prev_tile[s + 1] {
-                        deps.push(d);
-                    }
-                    let w = b.add(s, dst, bytes, TransferKind::Write, deps);
-                    prev_tile[s + 1] = Some(w);
-                    upstream = w;
+                    let tile = bytes / PIPELINE_TILES;
+                    push(&mut trace, s, dst, tile, TransferKind::Write);
                 }
             }
         }
+        trace
     }
 
     /// Total number of transfers in the trace.
@@ -578,9 +442,8 @@ impl DnnTraffic {
     }
 
     /// Trace fingerprint carried in the checkpoint header: a source-type
-    /// tag plus the complete immutable trace — entries, offsets and the
-    /// dependency graph — so a checkpoint only restores into the exact
-    /// same workload.
+    /// tag plus the complete immutable trace — entries and offsets — so a
+    /// checkpoint only restores into the exact same workload.
     fn shape(&self) -> u64 {
         let mut e = Encoder::new(0, 0);
         e.byte(3); // source type: DNN trace
@@ -598,61 +461,32 @@ impl DnnTraffic {
         for &o in &self.offsets {
             e.u64(o);
         }
-        for deps in &self.dependents {
-            e.usize(deps.len());
-            for &d in deps {
-                e.u32(d);
-            }
-        }
-        e.usize(self.ready.len());
         e.digest()
     }
 
-    /// The fallible core of `restore_state`: decodes into fresh vectors,
-    /// validating every index against this trace's geometry, and commits
-    /// only on full success.
+    /// The fallible core of `restore_state`: decodes every core's
+    /// `(retired, issued)` pair, validating each against the core's
+    /// queue, and commits only on full success.
     fn try_restore(&mut self, bytes: &[u8]) -> Result<(), SnapError> {
-        let mut d = Decoder::new(
-            bytes,
-            chkpt::SNAP_KIND,
-            self.shape(),
-            DecodeLimits::default(),
-        )?;
-        let completed = d.usize()?;
-        if completed > self.entries.len() {
-            return Err(corrupt("more completions than trace entries"));
-        }
-        let mut remaining = Vec::with_capacity(self.entries.len());
-        for _ in 0..self.entries.len() {
-            remaining.push(d.u32()?);
-        }
-        let mut ready: Vec<VecDeque<u32>> = vec![VecDeque::new(); self.ready.len()];
-        let mut seen = vec![false; self.entries.len()];
-        for (m, queue) in ready.iter_mut().enumerate() {
-            let n = d.count("ready entries")?;
-            for _ in 0..n {
-                let idx = d.u32()?;
-                let i = idx as usize;
-                if i >= self.entries.len() {
-                    return Err(corrupt("ready entry out of range"));
-                }
-                if self.entries[i].master != m {
-                    return Err(corrupt("ready entry queued on the wrong master"));
-                }
-                if remaining[i] != 0 {
-                    return Err(corrupt("ready entry with unmet dependencies"));
-                }
-                if seen[i] {
-                    return Err(corrupt("ready entry queued twice"));
-                }
-                seen[i] = true;
-                queue.push_back(idx);
+        let mut d = Decoder::new(bytes, SNAP_KIND, self.shape(), DecodeLimits::default())?;
+        let mut progress = Vec::with_capacity(self.cores.len());
+        for core in &self.cores {
+            let retired = d.usize()?;
+            let issued = d.usize()?;
+            if issued < retired || issued - retired > 1 {
+                return Err(corrupt("more than one transfer in flight on a core"));
             }
+            if issued > core.entries.len() {
+                return Err(corrupt("more transfers issued than the core owns"));
+            }
+            progress.push((retired, issued));
         }
         d.finish()?;
-        self.completed = completed;
-        self.remaining_deps = remaining;
-        self.ready = ready;
+        for (core, (retired, issued)) in self.cores.iter_mut().zip(progress) {
+            core.retired = retired;
+            core.issued = issued;
+        }
+        self.completed = self.cores.iter().map(|c| c.retired).sum();
         Ok(())
     }
 
@@ -673,40 +507,30 @@ impl DnnTraffic {
 
 impl TrafficSource for DnnTraffic {
     fn poll(&mut self, master: usize, _now: Cycle) -> Option<Transfer> {
-        let idx = *self.ready.get(master)?.front()?;
-        self.ready[master].pop_front();
-        let e = &self.entries[idx as usize];
+        let core = self.cores.get_mut(master)?;
+        if !core.is_ready() {
+            return None;
+        }
+        let idx = core.entries[core.issued] as usize;
+        core.issued += 1;
+        let e = &self.entries[idx];
         Some(Transfer {
-            id: u64::from(idx),
+            id: idx as u64,
             dst: e.dst,
-            offset: self.offsets[idx as usize],
+            offset: self.offsets[idx],
             bytes: e.bytes,
             kind: e.kind,
         })
     }
 
     fn on_complete(&mut self, _master: usize, id: u64, _now: Cycle) {
-        self.completed += 1;
-        let idx = id as usize;
-        // Detach the dependency list while walking it (take/restore): no
-        // second mutable borrow and — unlike the old per-retirement
-        // `clone()` — no heap allocation on this hot path. The walk order
-        // is the vec order either way, so resolution order is unchanged
-        // (asserted by `take_restore_matches_clone_resolution_order`).
-        let deps = std::mem::take(&mut self.dependents[idx]);
-        for &d in &deps {
-            let r = &mut self.remaining_deps[d as usize];
-            *r -= 1;
-            if *r == 0 {
-                let m = self.entries[d as usize].master;
-                self.ready[m].push_back(d);
-            }
-        }
+        let core = &mut self.cores[self.entries[id as usize].master];
         debug_assert!(
-            self.dependents[idx].is_empty(),
-            "dependency list repopulated during resolution"
+            core.issued == core.retired + 1 && core.entries[core.retired] as u64 == id,
+            "completion of a transfer its core does not have in flight"
         );
-        self.dependents[idx] = deps;
+        core.retired += 1;
+        self.completed += 1;
     }
 
     fn is_done(&self) -> bool {
@@ -714,11 +538,11 @@ impl TrafficSource for DnnTraffic {
     }
 
     fn next_arrival(&self, now: Cycle) -> Horizon {
-        // A trace is untimed: anything ready is pollable immediately, and
-        // nothing else can become ready without an `on_complete` callback
-        // — which a quiescent engine, having nothing in flight, will never
+        // A trace is untimed: a ready core can poll immediately, and no
+        // core can become ready without an `on_complete` callback — which
+        // a quiescent engine, having nothing in flight, will never
         // deliver. So the horizon is either "right now" or "never".
-        if self.ready.iter().any(|q| !q.is_empty()) {
+        if self.cores.iter().any(CoreQueue::is_ready) {
             Horizon::At(now)
         } else {
             Horizon::Never
@@ -726,16 +550,10 @@ impl TrafficSource for DnnTraffic {
     }
 
     fn snapshot_state(&self) -> Option<Vec<u8>> {
-        let mut e = Encoder::new(chkpt::SNAP_KIND, self.shape());
-        e.usize(self.completed);
-        for &r in &self.remaining_deps {
-            e.u32(r);
-        }
-        for queue in &self.ready {
-            e.usize(queue.len());
-            for &idx in queue {
-                e.u32(idx);
-            }
+        let mut e = Encoder::new(SNAP_KIND, self.shape());
+        for core in &self.cores {
+            e.usize(core.retired);
+            e.usize(core.issued);
         }
         Some(e.finish())
     }
@@ -780,9 +598,9 @@ mod tests {
 
     fn run_trace_to_completion(mut t: DnnTraffic) -> (usize, u64) {
         // Simulate instantaneous transfers: poll everything ready, complete
-        // it, repeat. Terminates iff the dependency graph is acyclic.
+        // it, repeat, until every core has replayed its share.
         let mut now = 0;
-        let masters = t.ready.len();
+        let masters = t.cores.len();
         let total = t.len();
         let mut guard = 0;
         while !t.is_done() {
@@ -793,68 +611,12 @@ mod tests {
                     progress = true;
                 }
             }
-            assert!(progress, "dependency deadlock at {}/{total}", t.completed());
+            assert!(progress, "replay wedged at {}/{total}", t.completed());
             now += 1;
             guard += 1;
             assert!(guard < 1_000_000);
         }
         (t.completed(), t.total_bytes())
-    }
-
-    /// The pre-optimization resolver: clone the dependency list, then
-    /// walk it — kept as the oracle the take/restore path must match.
-    fn resolve_with_clone(t: &mut DnnTraffic, id: u64) {
-        t.completed += 1;
-        let deps = t.dependents[id as usize].clone();
-        for d in deps {
-            let r = &mut t.remaining_deps[d as usize];
-            *r -= 1;
-            if *r == 0 {
-                let m = t.entries[d as usize].master;
-                t.ready[m].push_back(d);
-            }
-        }
-    }
-
-    #[test]
-    fn take_restore_matches_clone_resolution_order() {
-        // Drive two identical traces through the same poll schedule: one
-        // retires via the real (take/restore) `on_complete`, the other via
-        // the clone-based oracle. The complete transfer sequence — ids in
-        // poll order per master — must be identical, i.e. dependency
-        // resolution order is unchanged by the allocation-free rewrite.
-        for workload in [
-            DnnWorkload::DistributedTraining,
-            DnnWorkload::ParallelConv,
-            DnnWorkload::PipelinedConv,
-        ] {
-            let cfg = DnnConfig {
-                workload,
-                ..DnnConfig::default()
-            };
-            let mut real = DnnTraffic::new(&cfg);
-            let mut oracle = DnnTraffic::new(&cfg);
-            let masters = real.ready.len();
-            let mut real_seq = Vec::new();
-            let mut oracle_seq = Vec::new();
-            let mut guard = 0;
-            while !real.is_done() || !oracle.is_done() {
-                for m in 0..masters {
-                    while let Some(tr) = real.poll(m, 0) {
-                        real_seq.push(tr.id);
-                        real.on_complete(m, tr.id, 0);
-                    }
-                    while let Some(tr) = oracle.poll(m, 0) {
-                        oracle_seq.push(tr.id);
-                        resolve_with_clone(&mut oracle, tr.id);
-                    }
-                }
-                guard += 1;
-                assert!(guard < 1_000_000, "{workload:?} wedged");
-            }
-            assert_eq!(real_seq, oracle_seq, "order diverged for {workload:?}");
-            assert!(!real_seq.is_empty());
-        }
     }
 
     #[test]
@@ -949,7 +711,7 @@ mod tests {
             ..DnnConfig::default()
         };
         let t = DnnTraffic::new(&cfg);
-        let layers = resnet34_layers(cfg.channel_scale);
+        let layers = resnet34_layers(cfg.workload.channel_scale());
         let p = cfg.cores as u64;
         let expected: u64 = layers
             .iter()
@@ -967,7 +729,7 @@ mod tests {
             ..DnnConfig::default()
         };
         let t = DnnTraffic::new(&cfg);
-        let layers = resnet34_layers(cfg.channel_scale);
+        let layers = resnet34_layers(cfg.workload.channel_scale());
         let grad: u64 = layers.iter().map(ConvLayer::weight_bytes).sum();
         let p = cfg.cores as u64;
         // One write per round targets the node that also hosts L2 (node 6)
@@ -984,9 +746,9 @@ mod tests {
 
     #[test]
     fn replay_mode_has_linear_per_core_chains() {
-        // In replay mode a core's transfers depend only on its own
-        // predecessor: polling any single master drains its whole share
-        // without any cross-core completions.
+        // A core waits only on its own previous transfer: polling any
+        // single master drains its whole share without any cross-core
+        // completions.
         let cfg = DnnConfig {
             workload: DnnWorkload::PipelinedConv,
             ..DnnConfig::default()
@@ -998,22 +760,7 @@ mod tests {
             drained += 1;
         }
         // Core 3 owns exactly tiles × steps transfers.
-        assert_eq!(drained, cfg.tiles * cfg.steps);
-    }
-
-    #[test]
-    fn dependency_mode_blocks_downstream_stages() {
-        // With replay off, stage 3's first write needs stage 2's data:
-        // polling master 3 alone yields nothing.
-        let cfg = DnnConfig {
-            workload: DnnWorkload::PipelinedConv,
-            replay: false,
-            ..DnnConfig::default()
-        };
-        let mut t = DnnTraffic::new(&cfg);
-        assert!(t.poll(3, 0).is_none());
-        // But stage 0's input fetch is ready immediately.
-        assert!(t.poll(0, 0).is_some());
+        assert_eq!(drained as u64, PIPELINE_TILES * cfg.steps as u64);
     }
 
     #[test]
@@ -1035,7 +782,7 @@ mod tests {
 
     /// Drive a trace instantaneously for `rounds` sweeps over all masters.
     fn advance(t: &mut DnnTraffic, rounds: usize) {
-        let masters = t.ready.len();
+        let masters = t.cores.len();
         for _ in 0..rounds {
             for m in 0..masters {
                 if let Some(tr) = t.poll(m, 0) {
@@ -1048,11 +795,12 @@ mod tests {
     #[test]
     fn next_arrival_tracks_ready_work() {
         let mut t = DnnTraffic::new(&DnnConfig::default());
-        // Fresh trace: roots are ready on every core.
+        // Fresh trace: every core's first transfer is ready.
         assert_eq!(t.next_arrival(5), Horizon::At(5));
-        // Drain everything pollable without completing: all queues empty,
-        // all remaining work gated on completions → Never.
-        for m in 0..t.ready.len() {
+        // Issue everything pollable without completing: every core has a
+        // transfer in flight, all remaining work gated on completions →
+        // Never.
+        for m in 0..t.cores.len() {
             while t.poll(m, 0).is_some() {}
         }
         assert!(!t.is_done());
@@ -1065,12 +813,17 @@ mod tests {
         let mut t = DnnTraffic::new(&cfg);
         advance(&mut t, 40);
         assert!(t.completed() > 0 && !t.is_done(), "capture mid-trace");
+        // Capture with core 0's next transfer in flight.
+        let in_flight = t.poll(0, 0).expect("core 0 has work left");
         let bytes = t.snapshot_state().expect("traces checkpoint");
         let mut restored = DnnTraffic::new(&cfg);
         assert!(restored.restore_state(&bytes));
         assert_eq!(restored.completed(), t.completed());
+        assert_eq!(restored.poll(0, 0), None, "core 0 waits on its transfer");
+        t.on_complete(0, in_flight.id, 0);
+        restored.on_complete(0, in_flight.id, 0);
         while !t.is_done() {
-            for m in 0..t.ready.len() {
+            for m in 0..t.cores.len() {
                 let (a, b) = (t.poll(m, 0), restored.poll(m, 0));
                 assert_eq!(a, b);
                 if let Some(tr) = a {
@@ -1099,5 +852,34 @@ mod tests {
         let before = same.snapshot_state().unwrap();
         assert!(!same.restore_state(&bad));
         assert_eq!(same.snapshot_state().unwrap(), before);
+    }
+
+    #[test]
+    fn checkpoint_with_unreachable_progress_refused() {
+        // Well-framed bytes for this very trace, with core 0's
+        // (retired, issued) counts set to pairs no replay reaches.
+        let mut t = DnnTraffic::new(&DnnConfig::default());
+        let before = t.snapshot_state().unwrap();
+        let own = t.cores[0].entries.len();
+        let forge = |t: &DnnTraffic, retired: usize, issued: usize| {
+            let mut e = Encoder::new(SNAP_KIND, t.shape());
+            e.usize(retired);
+            e.usize(issued);
+            for _ in 1..t.cores.len() {
+                e.usize(0);
+                e.usize(0);
+            }
+            e.finish()
+        };
+        for (retired, issued) in [(0, 2), (1, 0), (own, own + 1)] {
+            assert!(
+                !t.restore_state(&forge(&t, retired, issued)),
+                "({retired}, {issued})"
+            );
+            assert_eq!(t.snapshot_state().unwrap(), before);
+        }
+        // One transfer in flight is reachable.
+        assert!(t.restore_state(&forge(&t, 0, 1)));
+        assert_eq!(t.poll(0, 0), None);
     }
 }

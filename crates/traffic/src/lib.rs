@@ -12,9 +12,9 @@
 //!   ResNet-34 (90 % channel-shrink) layer graph deployed as distributed
 //!   training, layer-parallel convolution, or pipelined (depth-first)
 //!   convolution on 16 cores (Fig. 7/8). This substitutes for the paper's
-//!   GVSoC full-system traces: the NoC only observes `(source, destination,
-//!   size, dependency)` tuples, which we generate from the same workload
-//!   structure.
+//!   GVSoC full-system traces: the NoC only observes each core's
+//!   `(destination, size, direction)` transfers in order, which we generate
+//!   from the same workload structure and replay one at a time per core.
 //!
 //! All generators implement [`TrafficSource`], the interface both NoC
 //! simulators (`patronoc` and the `packetnoc` baseline) pull transfers from.
@@ -25,8 +25,7 @@
 //! use traffic::{UniformConfig, UniformRandom, TrafficSource};
 //!
 //! let cfg = UniformConfig {
-//!     masters: 16,
-//!     slaves: (0..16).collect(),
+//!     nodes: 16,
 //!     load: 0.5,
 //!     bytes_per_cycle: 4.0, // slim NoC: 32-bit data width
 //!     max_transfer: 100,
@@ -39,7 +38,7 @@
 //! let _maybe_transfer = src.poll(0, 0);
 //! ```
 
-pub(crate) mod chkpt;
+mod arrivals;
 pub mod dnn;
 pub mod engine;
 pub mod source;

@@ -2,8 +2,9 @@
 //!
 //! A [`TrafficSource`] plays the role of the paper's testbench stimulus: it
 //! hands DMA *transfer descriptors* to each master endpoint and is notified
-//! when they complete, which lets dependency-driven workloads (the DNN
-//! traces of Fig. 7) release downstream transfers.
+//! when they complete, which lets a closed-loop workload (the DNN traces
+//! of Fig. 7, where each core waits for its transfer to retire) issue its
+//! next transfer.
 
 use simkit::{Cycle, Horizon};
 
@@ -91,7 +92,7 @@ pub trait TrafficSource {
     }
 
     /// Serializes the source's complete deterministic state (RNG streams,
-    /// arrival clocks, dependency progress) as a self-validating byte
+    /// arrival clocks, each trace core's progress) as a self-validating byte
     /// string, or `None` when the source does not support checkpointing.
     /// Restoring the bytes into an identically configured source and
     /// continuing to poll reproduces this source's future output exactly.
@@ -110,40 +111,9 @@ pub trait TrafficSource {
     }
 }
 
-/// The horizon implied by a fractional Poisson arrival clock: the first
-/// integer cycle `c` with `c ≥ next_arrival`, i.e. the first cycle at
-/// which the stochastic sources' poll guard (`next_arrival > now as f64`)
-/// stops returning `None`. Saturates arrival clocks beyond the cycle
-/// range to the last representable cycle (an unreachable future).
-pub(crate) fn arrival_horizon(next_arrival: f64) -> Horizon {
-    // `f64 as u64` saturates at the type bounds; clocks are validated
-    // non-negative and finite on restore and can never be negative by
-    // construction.
-    Horizon::At(next_arrival.ceil() as Cycle)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn arrival_horizon_matches_the_poll_guard() {
-        // The guard fires at the first integer cycle not before the clock.
-        for (clock, cycle) in [(0.0, 0), (0.2, 1), (7.0, 7), (7.001, 8)] {
-            assert_eq!(arrival_horizon(clock), Horizon::At(cycle), "clock {clock}");
-            // Cross-check against the guard expression itself.
-            assert!(clock <= cycle as f64, "guard admits cycle {cycle}");
-            if cycle > 0 {
-                assert!(
-                    clock > (cycle - 1) as f64,
-                    "guard blocks cycle {}",
-                    cycle - 1
-                );
-            }
-        }
-        // Out-of-range clocks saturate to an unreachable future cycle.
-        assert_eq!(arrival_horizon(1e300), Horizon::At(u64::MAX));
-    }
 
     /// A trivial one-shot source used to validate the default impls.
     struct OneShot(Option<Transfer>);

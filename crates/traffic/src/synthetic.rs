@@ -16,10 +16,10 @@
 //! Transfer lengths and arrival timing use the same randomized-burst Poisson
 //! process as [`crate::uniform`].
 
-use crate::chkpt;
-use crate::source::{arrival_horizon, TrafficSource, Transfer, TransferKind};
-use simkit::snap::{DecodeLimits, Decoder, Encoder};
-use simkit::{Cycle, Horizon, Rng};
+use crate::arrivals::{draw_offset, Arrivals};
+use crate::source::{TrafficSource, Transfer, TransferKind};
+use simkit::snap::Encoder;
+use simkit::{Cycle, Horizon};
 
 /// The three locality-controlled access patterns of Fig. 5.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -140,8 +140,7 @@ pub struct SyntheticTraffic {
     cfg: SyntheticConfig,
     /// Eligible destination list per master.
     eligible: Vec<Vec<usize>>,
-    per_master: Vec<(Rng, f64, u64)>, // (rng, next_arrival, serial)
-    mean_gap: f64,
+    arrivals: Arrivals,
 }
 
 fn hop_distance(cols: usize, a: usize, b: usize) -> u32 {
@@ -158,31 +157,29 @@ impl SyntheticTraffic {
     ///
     /// Panics if a master has no eligible destination (see
     /// [`SyntheticPattern::eligible_slaves`]) or if the configuration is
-    /// degenerate.
+    /// degenerate (non-positive load, zero `max_transfer`, or transfers
+    /// larger than a region).
     #[must_use]
     pub fn new(cfg: SyntheticConfig) -> Self {
-        assert!(cfg.load > 0.0, "load must be positive");
-        assert!(cfg.max_transfer > 0, "max transfer must be positive");
-        let n = cfg.cols * cfg.rows;
+        assert!(
+            cfg.max_transfer <= cfg.region_size,
+            "transfers must fit in a region"
+        );
         let eligible = cfg.pattern.eligible_slaves(cfg.cols, cfg.rows);
         if let Some(m) = eligible.iter().position(Vec::is_empty) {
             panic!("master {m} has no eligible slave");
         }
-        let mean_size = (1.0 + cfg.max_transfer as f64) / 2.0;
-        let mean_gap = mean_size / (cfg.load * cfg.bytes_per_cycle);
-        let root = Rng::new(cfg.seed);
-        let per_master = (0..n)
-            .map(|m| {
-                let mut rng = root.fork(m as u64 + 1);
-                let first = rng.gen_f64() * mean_gap;
-                (rng, first, 0u64)
-            })
-            .collect();
+        let arrivals = Arrivals::new(
+            cfg.cols * cfg.rows,
+            cfg.seed,
+            cfg.load,
+            cfg.bytes_per_cycle,
+            cfg.max_transfer,
+        );
         Self {
             cfg,
             eligible,
-            per_master,
-            mean_gap,
+            arrivals,
         }
     }
 
@@ -212,29 +209,19 @@ impl SyntheticTraffic {
 
 impl TrafficSource for SyntheticTraffic {
     fn poll(&mut self, master: usize, now: Cycle) -> Option<Transfer> {
-        let (rng, next_arrival, serial) = &mut self.per_master[master];
-        if *next_arrival > now as f64 {
-            return None;
-        }
-        let u = rng.gen_f64().max(f64::MIN_POSITIVE);
-        *next_arrival += -u.ln() * self.mean_gap;
-        let bytes = rng.gen_range_inclusive(1, self.cfg.max_transfer);
+        let (rng, id) = self.arrivals.fire(master, now)?;
+        let cfg = &self.cfg;
+        let bytes = rng.gen_range_inclusive(1, cfg.max_transfer);
         let list = &self.eligible[master];
         let dst = list[rng.gen_range(list.len() as u64) as usize];
-        let max_offset = self.cfg.region_size.saturating_sub(bytes);
-        let offset = if max_offset == 0 {
-            0
-        } else {
-            rng.gen_range(max_offset)
-        };
-        let kind = if rng.gen_bool(self.cfg.read_fraction) {
+        let offset = draw_offset(rng, cfg.region_size, bytes);
+        let kind = if rng.gen_bool(cfg.read_fraction) {
             TransferKind::Read
         } else {
             TransferKind::Write
         };
-        *serial += 1;
         Some(Transfer {
-            id: (master as u64) << 48 | *serial,
+            id,
             dst,
             offset,
             bytes,
@@ -243,43 +230,18 @@ impl TrafficSource for SyntheticTraffic {
     }
 
     fn next_arrival(&self, _now: Cycle) -> Horizon {
-        // Like `UniformRandom`, each master's Poisson clock is
-        // materialized eagerly, so the horizon is a pure read of the
-        // earliest clock — no random stream is touched.
-        self.per_master
-            .iter()
-            .map(|(_, next_arrival, _)| arrival_horizon(*next_arrival))
-            .fold(Horizon::Never, Horizon::min)
+        self.arrivals.horizon()
     }
 
     fn snapshot_state(&self) -> Option<Vec<u8>> {
-        let mut e = Encoder::new(chkpt::SNAP_KIND, self.shape());
-        for (rng, next_arrival, serial) in &self.per_master {
-            chkpt::encode_master(&mut e, rng, *next_arrival, *serial);
-        }
-        Some(e.finish())
+        Some(self.arrivals.encode(self.shape()))
     }
 
     fn restore_state(&mut self, bytes: &[u8]) -> bool {
-        let Ok(mut d) = Decoder::new(
-            bytes,
-            chkpt::SNAP_KIND,
-            self.shape(),
-            DecodeLimits::default(),
-        ) else {
+        let Ok(fresh) = self.arrivals.decode(bytes, self.shape()) else {
             return false;
         };
-        let mut fresh = Vec::with_capacity(self.per_master.len());
-        for _ in &self.per_master {
-            let Ok(state) = chkpt::decode_master(&mut d) else {
-                return false;
-            };
-            fresh.push(state);
-        }
-        if d.finish().is_err() {
-            return false;
-        }
-        self.per_master = fresh;
+        self.arrivals = fresh;
         true
     }
 }
@@ -440,6 +402,15 @@ mod tests {
             cols: 5,
             rows: 3,
             ..cfg(SyntheticPattern::MaxTwoHop)
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "transfers must fit in a region")]
+    fn transfers_larger_than_a_region_rejected() {
+        let _ = SyntheticTraffic::new(SyntheticConfig {
+            region_size: 512,
+            ..cfg(SyntheticPattern::MaxSingleHop)
         });
     }
 

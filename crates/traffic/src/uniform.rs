@@ -1,24 +1,24 @@
 //! Uniform random traffic with Poisson arrivals (paper Fig. 4).
 //!
-//! Every master injects transfers whose destination is uniformly random
-//! among the slave endpoints (excluding itself), whose length is uniformly
-//! random in `[1, max_transfer]` bytes ("the workload-specific burst length
-//! is randomized within a user-defined range", §IV) and whose arrival
-//! process is Poisson with a rate set by the *injected load*: at load 1.0 a
-//! master offers one full data-bus-width of payload per cycle.
+//! Every node hosts a master and a slave. Every master injects transfers
+//! whose destination is uniformly random among the other nodes, whose
+//! length is uniformly random in `[1, max_transfer]` bytes ("the
+//! workload-specific burst length is randomized within a user-defined
+//! range", §IV) and whose arrival process is Poisson with a rate set by
+//! the *injected load*: at load 1.0 a master offers one full
+//! data-bus-width of payload per cycle.
 
-use crate::chkpt;
-use crate::source::{arrival_horizon, TrafficSource, Transfer, TransferKind};
-use simkit::snap::{DecodeLimits, Decoder, Encoder};
+use crate::arrivals::{draw_offset, Arrivals};
+use crate::source::{TrafficSource, Transfer, TransferKind};
+use simkit::snap::Encoder;
 use simkit::{Cycle, Horizon, Rng};
 
 /// Configuration for [`UniformRandom`].
 #[derive(Debug, Clone)]
 pub struct UniformConfig {
-    /// Number of master endpoints (indexed `0..masters`).
-    pub masters: usize,
-    /// Endpoint indices that host addressable slaves.
-    pub slaves: Vec<usize>,
+    /// Number of endpoints (indexed `0..nodes`), each hosting a master and
+    /// an addressable slave.
+    pub nodes: usize,
     /// Injected load in `(0, 1]`: fraction of one bus width of payload
     /// offered per cycle per master.
     pub load: f64,
@@ -36,22 +36,13 @@ pub struct UniformConfig {
     pub seed: u64,
 }
 
-#[derive(Debug, Clone)]
-struct MasterState {
-    rng: Rng,
-    /// Fractional next-arrival time (cycles).
-    next_arrival: f64,
-    serial: u64,
-}
-
 /// Poisson uniform-random transfer generator.
 ///
 /// See the [module documentation](self) and [`UniformConfig`].
 #[derive(Debug, Clone)]
 pub struct UniformRandom {
     cfg: UniformConfig,
-    per_master: Vec<MasterState>,
-    mean_gap: f64,
+    arrivals: Arrivals,
     copies: bool,
 }
 
@@ -62,10 +53,9 @@ impl UniformRandom {
     ///
     /// # Panics
     ///
-    /// As [`new`](Self::new); additionally needs at least two slaves.
+    /// As [`new`](Self::new).
     #[must_use]
     pub fn new_copies(cfg: UniformConfig) -> Self {
-        assert!(cfg.slaves.len() >= 2, "copies need two distinct slaves");
         let mut s = Self::new(cfg);
         s.copies = true;
         s
@@ -75,46 +65,28 @@ impl UniformRandom {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration is degenerate (no masters, no slaves,
-    /// non-positive load, or zero `max_transfer`).
+    /// Panics if the configuration is degenerate (fewer than two nodes,
+    /// non-positive load, zero `max_transfer`, or transfers larger than a
+    /// region).
     #[must_use]
     pub fn new(cfg: UniformConfig) -> Self {
-        assert!(cfg.masters > 0, "need at least one master");
-        assert!(!cfg.slaves.is_empty(), "need at least one slave");
-        assert!(cfg.load > 0.0, "load must be positive");
-        assert!(cfg.max_transfer > 0, "max transfer must be positive");
+        assert!(cfg.nodes >= 2, "need at least two nodes");
         assert!(
             cfg.max_transfer <= cfg.region_size,
             "transfers must fit in a region"
         );
-        let mean_size = (1.0 + cfg.max_transfer as f64) / 2.0;
-        // Offered bytes/cycle = load × bytes_per_cycle = mean_size / mean_gap.
-        let mean_gap = mean_size / (cfg.load * cfg.bytes_per_cycle);
-        let root = Rng::new(cfg.seed);
-        let per_master = (0..cfg.masters)
-            .map(|m| {
-                let mut rng = root.fork(m as u64 + 1);
-                // Desynchronize the first arrivals.
-                let first = rng.gen_f64() * mean_gap;
-                MasterState {
-                    rng,
-                    next_arrival: first,
-                    serial: 0,
-                }
-            })
-            .collect();
+        let arrivals = Arrivals::new(
+            cfg.nodes,
+            cfg.seed,
+            cfg.load,
+            cfg.bytes_per_cycle,
+            cfg.max_transfer,
+        );
         Self {
             cfg,
-            per_master,
-            mean_gap,
+            arrivals,
             copies: false,
         }
-    }
-
-    /// The mean inter-arrival gap in cycles implied by the configuration.
-    #[must_use]
-    pub fn mean_gap(&self) -> f64 {
-        self.mean_gap
     }
 
     /// Configuration fingerprint carried in the checkpoint header: a
@@ -123,11 +95,7 @@ impl UniformRandom {
         let cfg = &self.cfg;
         let mut e = Encoder::new(0, 0);
         e.byte(1); // source type: uniform random
-        e.usize(cfg.masters);
-        e.usize(cfg.slaves.len());
-        for &s in &cfg.slaves {
-            e.usize(s);
-        }
+        e.usize(cfg.nodes);
         e.f64(cfg.load);
         e.f64(cfg.bytes_per_cycle);
         e.u64(cfg.max_transfer);
@@ -137,60 +105,38 @@ impl UniformRandom {
         e.bool(self.copies);
         e.digest()
     }
+}
 
-    fn pick_dst(cfg: &UniformConfig, rng: &mut Rng, master: usize) -> usize {
-        // Uniform over slaves, excluding the master's own node when present.
-        loop {
-            let idx = rng.gen_range(cfg.slaves.len() as u64) as usize;
-            let dst = cfg.slaves[idx];
-            if dst != master || cfg.slaves.len() == 1 {
-                return dst;
-            }
+/// Draws a node uniformly from `0..nodes`, redrawing on `not`.
+fn other_node(rng: &mut Rng, nodes: usize, not: usize) -> usize {
+    loop {
+        let node = rng.gen_range(nodes as u64) as usize;
+        if node != not {
+            return node;
         }
     }
 }
 
 impl TrafficSource for UniformRandom {
     fn poll(&mut self, master: usize, now: Cycle) -> Option<Transfer> {
-        let st = &mut self.per_master[master];
-        if st.next_arrival > now as f64 {
-            return None;
-        }
-        // Exponential inter-arrival (Poisson process).
-        let u = st.rng.gen_f64().max(f64::MIN_POSITIVE);
-        st.next_arrival += -u.ln() * self.mean_gap;
-        let bytes = st.rng.gen_range_inclusive(1, self.cfg.max_transfer);
-        let dst = Self::pick_dst(&self.cfg, &mut st.rng, master);
-        let max_offset = self.cfg.region_size - bytes;
-        let gen_offset = |rng: &mut Rng| {
-            if max_offset == 0 {
-                0
-            } else {
-                rng.gen_range(max_offset)
-            }
-        };
-        let offset = gen_offset(&mut st.rng);
+        let (rng, id) = self.arrivals.fire(master, now)?;
+        let cfg = &self.cfg;
+        let bytes = rng.gen_range_inclusive(1, cfg.max_transfer);
+        let dst = other_node(rng, cfg.nodes, master);
+        let offset = draw_offset(rng, cfg.region_size, bytes);
         let kind = if self.copies {
-            // Random source distinct from the destination.
-            let src = loop {
-                let idx = st.rng.gen_range(self.cfg.slaves.len() as u64) as usize;
-                let s = self.cfg.slaves[idx];
-                if s != dst {
-                    break s;
-                }
-            };
+            let src = other_node(rng, cfg.nodes, dst);
             TransferKind::Copy {
                 src,
-                src_offset: gen_offset(&mut st.rng),
+                src_offset: draw_offset(rng, cfg.region_size, bytes),
             }
-        } else if st.rng.gen_bool(self.cfg.read_fraction) {
+        } else if rng.gen_bool(cfg.read_fraction) {
             TransferKind::Read
         } else {
             TransferKind::Write
         };
-        st.serial += 1;
         Some(Transfer {
-            id: (master as u64) << 48 | st.serial,
+            id,
             dst,
             offset,
             bytes,
@@ -199,48 +145,18 @@ impl TrafficSource for UniformRandom {
     }
 
     fn next_arrival(&self, _now: Cycle) -> Horizon {
-        // Each master's Poisson clock is materialized eagerly (poll draws
-        // the *next* arrival when one fires), so lookahead is a pure read:
-        // the earliest clock over all masters bounds the next injection
-        // without touching any random stream.
-        self.per_master
-            .iter()
-            .map(|st| arrival_horizon(st.next_arrival))
-            .fold(Horizon::Never, Horizon::min)
+        self.arrivals.horizon()
     }
 
     fn snapshot_state(&self) -> Option<Vec<u8>> {
-        let mut e = Encoder::new(chkpt::SNAP_KIND, self.shape());
-        for st in &self.per_master {
-            chkpt::encode_master(&mut e, &st.rng, st.next_arrival, st.serial);
-        }
-        Some(e.finish())
+        Some(self.arrivals.encode(self.shape()))
     }
 
     fn restore_state(&mut self, bytes: &[u8]) -> bool {
-        let Ok(mut d) = Decoder::new(
-            bytes,
-            chkpt::SNAP_KIND,
-            self.shape(),
-            DecodeLimits::default(),
-        ) else {
+        let Ok(fresh) = self.arrivals.decode(bytes, self.shape()) else {
             return false;
         };
-        let mut fresh = Vec::with_capacity(self.per_master.len());
-        for _ in &self.per_master {
-            let Ok((rng, next_arrival, serial)) = chkpt::decode_master(&mut d) else {
-                return false;
-            };
-            fresh.push(MasterState {
-                rng,
-                next_arrival,
-                serial,
-            });
-        }
-        if d.finish().is_err() {
-            return false;
-        }
-        self.per_master = fresh;
+        self.arrivals = fresh;
         true
     }
 }
@@ -251,8 +167,7 @@ mod tests {
 
     fn cfg(load: f64, max_transfer: u64) -> UniformConfig {
         UniformConfig {
-            masters: 16,
-            slaves: (0..16).collect(),
+            nodes: 16,
             load,
             bytes_per_cycle: 4.0,
             max_transfer,
@@ -293,10 +208,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "two distinct slaves")]
+    #[should_panic(expected = "two nodes")]
     fn copies_require_two_slaves() {
         let mut c = cfg(1.0, 64);
-        c.slaves = vec![3];
+        c.nodes = 1;
         let _ = UniformRandom::new_copies(c);
     }
 
