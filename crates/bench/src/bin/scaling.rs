@@ -44,7 +44,7 @@ struct MeshRow {
 
 fn scaling_scenario(dim: usize, window: u64, warmup: u64) -> Scenario {
     Scenario::patronoc()
-        .topology(Topology::Mesh {
+        .topology(Topology {
             cols: dim,
             rows: dim,
         })

@@ -856,3 +856,85 @@ fn packet_runs_match_pinned_reports_and_digests() {
     assert_eq!(run_packet_pinned(1), expected, "serial");
     assert_eq!(run_packet_pinned(threads), expected, "{threads} threads");
 }
+
+/// The ablation's topology scenario at a short window, and a Par Conv
+/// trace at DW 512 run to drain, on `topo`.
+fn run_on_topology(topo: Topology, threads: usize) -> [Golden; 2] {
+    let window = Scenario::patronoc()
+        .traffic(TrafficSpec::uniform_copies(1.0, 1_000))
+        .warmup(WARMUP)
+        .window(8_000)
+        .seed(0xAB1A)
+        .topology(topo)
+        .threads(threads);
+    let trace = dnn_scenario(512, DnnWorkload::ParallelConv, 1)
+        .topology(topo)
+        .threads(threads);
+    [window, trace].map(|sc| Golden::of(&sc.run().expect("valid scenario")))
+}
+
+/// The ring and torus kinds routed exactly as the mesh of their shape and
+/// never used a wrap link, so the 16×1 and 4×4 meshes reproduce their
+/// reports: the values below were taken from `Ring { nodes: 16 }` and
+/// `Torus { cols: 4, rows: 4 }` before those kinds were deleted.
+#[test]
+fn one_row_and_square_meshes_match_the_retired_ring_and_torus() {
+    let pinned = [
+        (
+            Topology { cols: 16, rows: 1 },
+            [
+                golden(
+                    10000,
+                    55197,
+                    131,
+                    8192,
+                    0x4019b3fec2800000,
+                    0x408f14e2afe0bb9a,
+                ),
+                golden(
+                    74043,
+                    5010000,
+                    1632,
+                    4096,
+                    0x404f821aa1abd6b9,
+                    0x40820735f5f5f5f6,
+                ),
+            ],
+        ),
+        (
+            Topology::mesh4x4(),
+            [
+                golden(
+                    10000,
+                    156403,
+                    401,
+                    2048,
+                    0x4032352c31600000,
+                    0x4077b96066250706,
+                ),
+                golden(
+                    73977,
+                    5010000,
+                    1632,
+                    4096,
+                    0x404f894ce451ee7f,
+                    0x408147d7d7d7d7d8,
+                ),
+            ],
+        ),
+    ];
+    let threads = std::env::var("BENCH_THREADS")
+        .ok()
+        .and_then(|v| v.parse::<usize>().ok())
+        .unwrap_or(1);
+    for (topo, expected) in pinned {
+        assert_eq!(run_on_topology(topo, 1), expected, "{topo}, serial");
+        if threads > 1 {
+            assert_eq!(
+                run_on_topology(topo, threads),
+                expected,
+                "{topo}, {threads} threads"
+            );
+        }
+    }
+}

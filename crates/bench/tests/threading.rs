@@ -47,9 +47,7 @@ fn assert_bit_identical(serial: &SimReport, sharded: &SimReport, what: &str) {
 /// Runs `scenario` serially, then at every matrix thread count, asserting
 /// bit identity cell by cell.
 fn assert_thread_invariant(scenario: &Scenario, what: &str) {
-    let patronoc::Topology::Mesh { rows, .. } = scenario.topology else {
-        panic!("{what}: the matrix runs on meshes");
-    };
+    let rows = scenario.topology.rows;
     let serial = scenario
         .clone()
         .threads(1)
@@ -149,7 +147,7 @@ fn larger_meshes_shard_into_more_regions() {
     // 8×8: eight row bands, so all three matrix thread counts get real
     // multi-region sharding (no clamp).
     let sc = Scenario::patronoc()
-        .topology(patronoc::Topology::Mesh { cols: 8, rows: 8 })
+        .topology(patronoc::Topology { cols: 8, rows: 8 })
         .traffic(TrafficSpec::uniform_copies(1.0, 4_096))
         .warmup(WARMUP)
         .window(WINDOW)

@@ -32,7 +32,7 @@ use crate::link::{AxiLink, Edges};
 use crate::routing::{connectivity_tables, Connectivity, RoutingAlgorithm};
 use crate::shard::{self, RegionCtx, RegionLinks, ShardLinkView, Sharding};
 use crate::snapcodec::corrupt;
-use crate::topology::{Dir, Topology, LOCAL, PORTS};
+use crate::topology::{Dir, LOCAL, PORTS};
 use crate::xp::Xp;
 use axi::ConfigError;
 use simkit::pool::{crew_scope, Crew};
@@ -293,17 +293,11 @@ impl NocSim {
             })
             .collect();
         let sched = Sched::new(ends, dmas.len(), mems.len(), n);
-        // Region partition for threaded runs: contiguous row bands. A ring
-        // degenerates to one row (never shardable); meshes and tori shard
-        // by rows — torus wrap links simply come out as boundary links,
-        // since classification looks at actual link endpoints, not
-        // geometry. One region means the serial engine, sharding-free, and
-        // so does the full-sweep reference at any thread count.
-        let (cols, rows) = match topo {
-            Topology::Mesh { cols, rows } | Topology::Torus { cols, rows } => (cols, rows),
-            Topology::Ring { nodes } => (nodes, 1),
-        };
-        let region_map = RegionMap::new(cols, rows, cfg.threads.max(1));
+        // Region partition for threaded runs: contiguous row bands, so a
+        // one-row mesh never shards. One region means the serial engine,
+        // sharding-free, and so does the full-sweep reference at any thread
+        // count.
+        let region_map = RegionMap::new(topo.cols, topo.rows, cfg.threads.max(1));
         let sharding = if cfg.threads > 1 && !cfg.full_sweep && region_map.regions() > 1 {
             let node_of = |c: Comp| match c {
                 Comp::Xp(i) => i,
@@ -1034,22 +1028,12 @@ impl NocSim {
         e.u32(cfg.axi.data_width());
         e.u32(cfg.axi.id_width());
         e.u32(cfg.axi.max_outstanding());
-        match cfg.topology {
-            Topology::Mesh { cols, rows } => {
-                e.byte(0);
-                e.usize(cols);
-                e.usize(rows);
-            }
-            Topology::Torus { cols, rows } => {
-                e.byte(1);
-                e.usize(cols);
-                e.usize(rows);
-            }
-            Topology::Ring { nodes } => {
-                e.byte(2);
-                e.usize(nodes);
-            }
-        }
+        // The 0 is the mesh's tag from when the fingerprint told topology
+        // kinds apart. It keeps its slot: dropping it would change every
+        // snapshot header and `state_digest`, which `.e2e/golden.json` pins.
+        e.byte(0);
+        e.usize(cfg.topology.cols);
+        e.usize(cfg.topology.rows);
         e.byte(match cfg.algorithm {
             RoutingAlgorithm::YxDimensionOrder => 0,
             RoutingAlgorithm::XyDimensionOrder => 1,
@@ -1339,8 +1323,8 @@ mod tests {
     }
 
     #[test]
-    fn ring_topology_works() {
-        let cfg = NocConfig::new(axi::AxiParams::slim(), crate::Topology::Ring { nodes: 6 });
+    fn one_row_mesh_works() {
+        let cfg = NocConfig::new(axi::AxiParams::slim(), crate::Topology { cols: 6, rows: 1 });
         let mut sim = NocSim::new(cfg).unwrap();
         let mut src = OneEach::new(6, 512, TransferKind::Read, |m| (m + 2) % 6);
         let report = sim.run(&mut src, 100_000, 0);
@@ -1348,11 +1332,8 @@ mod tests {
     }
 
     #[test]
-    fn torus_topology_works() {
-        let cfg = NocConfig::new(
-            axi::AxiParams::slim(),
-            crate::Topology::Torus { cols: 3, rows: 3 },
-        );
+    fn mesh_3x3_works() {
+        let cfg = NocConfig::new(axi::AxiParams::slim(), crate::Topology { cols: 3, rows: 3 });
         let mut sim = NocSim::new(cfg).unwrap();
         let mut src = OneEach::new(9, 512, TransferKind::Write, |m| (m + 4) % 9);
         let report = sim.run(&mut src, 100_000, 0);

@@ -40,7 +40,7 @@
 //!
 //! | module | paper artefact |
 //! |---|---|
-//! | [`topology`] | 2D mesh (Fig. 1) + torus/ring extensions (§II) |
+//! | [`topology`] | the 2D mesh (Fig. 1) |
 //! | [`routing`] | source-based YX routing tables, deadlock validation (§II) |
 //! | [`xp`] | the AXI crosspoint: XBAR + ID remappers (Fig. 1, bottom) |
 //! | [`link`] | five-channel AXI links with register slices (Table I) |

@@ -10,8 +10,8 @@
 //!
 //! Dimension-ordered routing on a mesh is deadlock-free because the channel
 //! dependency graph is acyclic; [`validate_deadlock_free`] checks that
-//! property constructively for *any* topology/algorithm pair by enumerating
-//! all routes and searching the dependency graph for cycles.
+//! property constructively for a mesh and algorithm by enumerating all
+//! routes and searching the dependency graph for cycles.
 
 use crate::topology::{Dir, Topology, LOCAL, PORTS};
 use std::collections::BTreeMap;
@@ -40,11 +40,6 @@ pub enum Connectivity {
 
 /// Computes the next hop from `cur` towards `dst`; `None` means `dst == cur`
 /// (deliver on the local port).
-///
-/// For the torus, each dimension takes the shorter way around; for the
-/// ring, routing is restricted to the linear 0..n−1 chain (the wrap link is
-/// never used), which keeps the channel dependency graph acyclic at the cost
-/// of longer paths — see [`validate_deadlock_free`].
 #[must_use]
 pub fn next_hop(topo: Topology, algo: RoutingAlgorithm, cur: usize, dst: usize) -> Option<Dir> {
     if cur == dst {
@@ -52,58 +47,23 @@ pub fn next_hop(topo: Topology, algo: RoutingAlgorithm, cur: usize, dst: usize) 
     }
     let (cx, cy) = topo.coord(cur);
     let (dx, dy) = topo.coord(dst);
-    match topo {
-        Topology::Mesh { .. } => {
-            let y_move = if dy < cy {
-                Some(Dir::North)
-            } else if dy > cy {
-                Some(Dir::South)
-            } else {
-                None
-            };
-            let x_move = if dx > cx {
-                Some(Dir::East)
-            } else if dx < cx {
-                Some(Dir::West)
-            } else {
-                None
-            };
-            match algo {
-                RoutingAlgorithm::YxDimensionOrder => y_move.or(x_move),
-                RoutingAlgorithm::XyDimensionOrder => x_move.or(y_move),
-            }
-        }
-        Topology::Torus { .. } => {
-            // Dimension chains, wrap links unused: shortest-path routing
-            // over the wrap links creates a cyclic channel dependency in
-            // every ring of the torus, and plain AXI channels provide no
-            // virtual channels / datelines to break it (run
-            // [`validate_deadlock_free`] with wrap-shortest routing to see
-            // the cycle). The wrap wiring is still instantiated — a VC-
-            // capable successor (cf. FlooNoC) could exploit it.
-            let y_move = if dy < cy {
-                Some(Dir::North)
-            } else if dy > cy {
-                Some(Dir::South)
-            } else {
-                None
-            };
-            let x_move = if dx > cx {
-                Some(Dir::East)
-            } else if dx < cx {
-                Some(Dir::West)
-            } else {
-                None
-            };
-            match algo {
-                RoutingAlgorithm::YxDimensionOrder => y_move.or(x_move),
-                RoutingAlgorithm::XyDimensionOrder => x_move.or(y_move),
-            }
-        }
-        Topology::Ring { .. } => {
-            // Chain routing: never cross the n−1 ↔ 0 wrap link.
-            Some(if dst > cur { Dir::East } else { Dir::West })
-        }
+    let y_move = if dy < cy {
+        Some(Dir::North)
+    } else if dy > cy {
+        Some(Dir::South)
+    } else {
+        None
+    };
+    let x_move = if dx > cx {
+        Some(Dir::East)
+    } else if dx < cx {
+        Some(Dir::West)
+    } else {
+        None
+    };
+    match algo {
+        RoutingAlgorithm::YxDimensionOrder => y_move.or(x_move),
+        RoutingAlgorithm::XyDimensionOrder => x_move.or(y_move),
     }
 }
 
@@ -208,6 +168,9 @@ pub fn connectivity_tables(
     }
 }
 
+/// A channel: the directed XP→XP link leaving `node` towards `dir`.
+type Channel = (usize, Dir);
+
 /// Verifies that the (topology, algorithm) pair is deadlock-free by building
 /// the channel dependency graph over all source/destination routes and
 /// checking it for cycles.
@@ -217,22 +180,21 @@ pub fn connectivity_tables(
 ///
 /// # Errors
 ///
-/// Returns the cycle when one exists (e.g. unrestricted shortest-path ring
-/// routing would fail here).
+/// Returns the cycle when one exists. Dimension-ordered routing on a mesh
+/// never closes one; the module's tests drive the cycle search directly.
 pub fn validate_deadlock_free(
     topo: Topology,
     algo: RoutingAlgorithm,
 ) -> Result<(), Vec<(usize, Dir)>> {
-    // Channel = directed XP→XP link, identified by (from_node, dir). BTreeMap
-    // so the DFS below visits channels in a fixed order and the reported
-    // cycle is the same on every run.
-    let mut edges: BTreeMap<(usize, Dir), Vec<(usize, Dir)>> = BTreeMap::new();
+    // BTreeMap so the search visits channels in a fixed order and the
+    // reported cycle is the same on every run.
+    let mut edges: BTreeMap<Channel, Vec<Channel>> = BTreeMap::new();
     let n = topo.num_nodes();
     for src in 0..n {
         for dst in 0..n {
             let dirs = route(topo, algo, src, dst);
             let mut cur = src;
-            let mut prev: Option<(usize, Dir)> = None;
+            let mut prev: Option<Channel> = None;
             for d in dirs {
                 let ch = (cur, d);
                 if let Some(p) = prev {
@@ -246,14 +208,21 @@ pub fn validate_deadlock_free(
             }
         }
     }
+    find_cycle(&edges).map_or(Ok(()), Err)
+}
+
+/// The first cycle of the channel dependency graph `edges` (each channel
+/// maps to the channels a route enters from it), or `None` when it is
+/// acyclic. The cycle lists exactly its own channels, in dependency order,
+/// starting where the search entered it.
+fn find_cycle(edges: &BTreeMap<Channel, Vec<Channel>>) -> Option<Vec<Channel>> {
     // Iterative DFS cycle detection (colors: 0 white, 1 gray, 2 black).
-    let mut color: BTreeMap<(usize, Dir), u8> = BTreeMap::new();
-    let nodes: Vec<(usize, Dir)> = edges.keys().copied().collect();
-    for &start in &nodes {
+    let mut color: BTreeMap<Channel, u8> = BTreeMap::new();
+    for &start in edges.keys() {
         if color.get(&start).copied().unwrap_or(0) != 0 {
             continue;
         }
-        let mut stack: Vec<((usize, Dir), usize)> = vec![(start, 0)];
+        let mut stack: Vec<(Channel, usize)> = vec![(start, 0)];
         let mut path = vec![start];
         color.insert(start, 1);
         while let Some(&mut (node, ref mut idx)) = stack.last_mut() {
@@ -269,7 +238,7 @@ pub fn validate_deadlock_free(
                     1 => {
                         // Found a cycle: slice the current path from succ.
                         let pos = path.iter().position(|&c| c == succ).unwrap_or(0);
-                        return Err(path[pos..].to_vec());
+                        return Some(path[pos..].to_vec());
                     }
                     _ => {}
                 },
@@ -281,7 +250,7 @@ pub fn validate_deadlock_free(
             }
         }
     }
-    Ok(())
+    None
 }
 
 #[cfg(test)]
@@ -340,15 +309,6 @@ mod tests {
     }
 
     #[test]
-    fn ring_chain_routing_is_deadlock_free() {
-        assert!(validate_deadlock_free(
-            Topology::Ring { nodes: 8 },
-            RoutingAlgorithm::YxDimensionOrder
-        )
-        .is_ok());
-    }
-
-    #[test]
     fn partial_connectivity_forbids_x_to_y_turns_under_yx() {
         let t = Topology::mesh4x4();
         // Interior node 5 = (1,1).
@@ -392,43 +352,47 @@ mod tests {
         assert!(c[LOCAL][LOCAL]);
     }
 
-    #[test]
-    fn torus_avoids_wrap_links_and_is_deadlock_free() {
-        let t = Topology::Torus { cols: 4, rows: 4 };
-        // Chain routing goes 3 hops East rather than 1 hop West through
-        // the wrap link (which would close a channel-dependency cycle).
-        let dirs = route(t, RoutingAlgorithm::YxDimensionOrder, 0, 3);
-        assert_eq!(dirs, vec![Dir::East, Dir::East, Dir::East]);
-        assert!(validate_deadlock_free(t, RoutingAlgorithm::YxDimensionOrder).is_ok());
-    }
-
-    #[test]
-    fn wrap_shortest_routing_would_deadlock() {
-        // Demonstrate what the chain restriction avoids: a hand-built
-        // wrap-crossing route sequence creates the cyclic dependency the
-        // validator reports. (The public API never produces such routes;
-        // we validate the checker itself by confirming every ring of the
-        // torus would close a cycle if each hop continued East.)
-        let t = Topology::Torus { cols: 4, rows: 4 };
-        // Four East channels of row 0 form a cycle in the CDG if each is
-        // followed by the next — the checker must be able to represent it.
-        let ring = [
-            (0usize, Dir::East),
-            (1, Dir::East),
-            (2, Dir::East),
-            (3, Dir::East),
-        ];
-        for &(n, d) in &ring {
-            assert!(t.neighbor(n, d).is_some(), "wrap wiring exists");
+    /// A dependency map from `(from, to)` channel pairs.
+    fn graph(deps: &[(Channel, Channel)]) -> BTreeMap<Channel, Vec<Channel>> {
+        let mut edges: BTreeMap<Channel, Vec<Channel>> = BTreeMap::new();
+        for &(from, to) in deps {
+            edges.entry(from).or_default().push(to);
         }
+        edges
+    }
+
+    /// The four East channels of a row whose last one wraps back to the
+    /// first: each depends on the next.
+    const EAST_LOOP: [Channel; 4] = [
+        (0, Dir::East),
+        (1, Dir::East),
+        (2, Dir::East),
+        (3, Dir::East),
+    ];
+
+    #[test]
+    fn find_cycle_reports_a_dependency_loop() {
+        let deps: Vec<_> = (0..4)
+            .map(|i| (EAST_LOOP[i], EAST_LOOP[(i + 1) % 4]))
+            .collect();
+        assert_eq!(find_cycle(&graph(&deps)), Some(EAST_LOOP.to_vec()));
     }
 
     #[test]
-    fn ring_never_uses_wrap_link() {
-        let t = Topology::Ring { nodes: 8 };
-        let dirs = route(t, RoutingAlgorithm::YxDimensionOrder, 1, 7);
-        // Chain routing goes East 6 hops instead of West 2 through the wrap.
-        assert_eq!(dirs.len(), 6);
-        assert!(dirs.iter().all(|&d| d == Dir::East));
+    fn find_cycle_leaves_the_tail_out_of_the_cycle() {
+        // (0, North) leads into the loop but is not part of it; it sorts
+        // first, so the search starts on the tail.
+        let tail = (0, Dir::North);
+        let mut deps = vec![(tail, EAST_LOOP[0])];
+        deps.extend((0..4).map(|i| (EAST_LOOP[i], EAST_LOOP[(i + 1) % 4])));
+        let edges = graph(&deps);
+        assert_eq!(edges.keys().next(), Some(&tail));
+        assert_eq!(find_cycle(&edges), Some(EAST_LOOP.to_vec()));
+    }
+
+    #[test]
+    fn find_cycle_accepts_a_chain() {
+        let deps: Vec<_> = (0..3).map(|i| (EAST_LOOP[i], EAST_LOOP[i + 1])).collect();
+        assert_eq!(find_cycle(&graph(&deps)), None);
     }
 }

@@ -1,15 +1,11 @@
-//! NoC topologies built from the AXI crosspoint.
-//!
-//! The paper evaluates a 2D mesh "due to its popularity in research and its
-//! remarkable simplicity, scalability, and efficiency", but stresses that
-//! "any regular topology, such as a torus, butterfly, or ring, can also be
-//! modularly built using our building blocks" (§II). This module provides
-//! the mesh (the evaluated proof-of-concept) plus torus and ring as the
-//! promised extensions.
+//! The NoC topology: the 2D mesh of AXI crosspoints the paper evaluates
+//! "due to its popularity in research and its remarkable simplicity,
+//! scalability, and efficiency" (§II). A one-row mesh is a chain of
+//! crosspoints.
 
 use std::fmt;
 
-/// A mesh/torus direction, also used as an XP port name.
+/// A mesh direction, also used as an XP port name.
 ///
 /// Port layout at every crosspoint: the four compass ports plus the local
 /// endpoint port (see [`PORTS`]).
@@ -70,64 +66,43 @@ pub const PORTS: usize = 5;
 /// Index of the local (endpoint) port.
 pub const LOCAL: usize = 4;
 
-/// A regular topology instantiable from the XP building block.
+/// A `cols × rows` 2D mesh of crosspoints, numbered row by row.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Topology {
-    /// `cols × rows` 2D mesh (the paper's evaluated topology).
-    Mesh {
-        /// Width (number of columns).
-        cols: usize,
-        /// Height (number of rows).
-        rows: usize,
-    },
-    /// 2D torus: a mesh with wrap-around links in both dimensions.
-    Torus {
-        /// Width.
-        cols: usize,
-        /// Height.
-        rows: usize,
-    },
-    /// Bidirectional ring of `nodes` crosspoints (East/West links only).
-    Ring {
-        /// Number of crosspoints.
-        nodes: usize,
-    },
+pub struct Topology {
+    /// Width (number of columns).
+    pub cols: usize,
+    /// Height (number of rows).
+    pub rows: usize,
 }
 
 impl Topology {
     /// The paper's 2×2 mesh.
     #[must_use]
     pub fn mesh2x2() -> Self {
-        Topology::Mesh { cols: 2, rows: 2 }
+        Topology { cols: 2, rows: 2 }
     }
 
     /// The paper's 4×4 mesh.
     #[must_use]
     pub fn mesh4x4() -> Self {
-        Topology::Mesh { cols: 4, rows: 4 }
+        Topology { cols: 4, rows: 4 }
     }
 
     /// Number of crosspoints (= endpoint capacity with one master and one
     /// slave per XP, per Table I's default).
     #[must_use]
     pub fn num_nodes(&self) -> usize {
-        match *self {
-            Topology::Mesh { cols, rows } | Topology::Torus { cols, rows } => cols * rows,
-            Topology::Ring { nodes } => nodes,
-        }
+        self.cols * self.rows
     }
 
-    /// Validates the dimensions (at least 2 nodes; mesh/torus at least 1×1).
+    /// Validates the dimensions: at least one row and one column, and at
+    /// least two nodes.
     #[must_use]
     pub fn is_valid(&self) -> bool {
-        match *self {
-            Topology::Mesh { cols, rows } => cols >= 1 && rows >= 1 && cols * rows >= 2,
-            Topology::Torus { cols, rows } => cols >= 3 && rows >= 3,
-            Topology::Ring { nodes } => nodes >= 2,
-        }
+        self.cols >= 1 && self.rows >= 1 && self.num_nodes() >= 2
     }
 
-    /// `(x, y)` coordinate of a node (`y = 0` for rings).
+    /// `(x, y)` coordinate of a node.
     ///
     /// # Panics
     ///
@@ -135,100 +110,48 @@ impl Topology {
     #[must_use]
     pub fn coord(&self, node: usize) -> (usize, usize) {
         assert!(node < self.num_nodes(), "node out of range");
-        match *self {
-            Topology::Mesh { cols, .. } | Topology::Torus { cols, .. } => {
-                (node % cols, node / cols)
-            }
-            Topology::Ring { .. } => (node, 0),
-        }
+        (node % self.cols, node / self.cols)
     }
 
     /// Node index at `(x, y)`.
     ///
     /// # Panics
     ///
-    /// Panics if the coordinate is outside the topology.
+    /// Panics if the coordinate is outside the mesh.
     #[must_use]
     pub fn node_at(&self, x: usize, y: usize) -> usize {
-        match *self {
-            Topology::Mesh { cols, rows } | Topology::Torus { cols, rows } => {
-                assert!(x < cols && y < rows, "coordinate out of range");
-                y * cols + x
-            }
-            Topology::Ring { nodes } => {
-                assert!(x < nodes && y == 0, "coordinate out of range");
-                x
-            }
-        }
+        assert!(x < self.cols && y < self.rows, "coordinate out of range");
+        y * self.cols + x
     }
 
     /// The neighbour of `node` in direction `dir`, if a link exists.
     #[must_use]
     pub fn neighbor(&self, node: usize, dir: Dir) -> Option<usize> {
         let (x, y) = self.coord(node);
-        match *self {
-            Topology::Mesh { cols, rows } => {
-                let (nx, ny) = match dir {
-                    Dir::North => (x as isize, y as isize - 1),
-                    Dir::South => (x as isize, y as isize + 1),
-                    Dir::East => (x as isize + 1, y as isize),
-                    Dir::West => (x as isize - 1, y as isize),
-                };
-                if nx < 0 || ny < 0 || nx >= cols as isize || ny >= rows as isize {
-                    None
-                } else {
-                    Some(self.node_at(nx as usize, ny as usize))
-                }
-            }
-            Topology::Torus { cols, rows } => {
-                let (nx, ny) = match dir {
-                    Dir::North => (x, (y + rows - 1) % rows),
-                    Dir::South => (x, (y + 1) % rows),
-                    Dir::East => ((x + 1) % cols, y),
-                    Dir::West => ((x + cols - 1) % cols, y),
-                };
-                Some(self.node_at(nx, ny))
-            }
-            Topology::Ring { nodes } => match dir {
-                Dir::East => Some((node + 1) % nodes),
-                Dir::West => Some((node + nodes - 1) % nodes),
-                _ => None,
-            },
+        match dir {
+            Dir::North => (y > 0).then(|| node - self.cols),
+            Dir::South => (y + 1 < self.rows).then(|| node + self.cols),
+            Dir::East => (x + 1 < self.cols).then(|| node + 1),
+            Dir::West => (x > 0).then(|| node - 1),
         }
     }
 
-    /// Minimal hop distance between two nodes under the topology's links.
+    /// Minimal hop distance between two nodes: the Manhattan distance.
     #[must_use]
     pub fn hop_distance(&self, a: usize, b: usize) -> usize {
         let (ax, ay) = self.coord(a);
         let (bx, by) = self.coord(b);
-        match *self {
-            Topology::Mesh { .. } => ax.abs_diff(bx) + ay.abs_diff(by),
-            Topology::Torus { cols, rows } => {
-                let dx = ax.abs_diff(bx);
-                let dy = ay.abs_diff(by);
-                dx.min(cols - dx) + dy.min(rows - dy)
-            }
-            Topology::Ring { nodes } => {
-                let d = ax.abs_diff(bx);
-                d.min(nodes - d)
-            }
-        }
+        ax.abs_diff(bx) + ay.abs_diff(by)
     }
 
     /// Number of unidirectional mesh links crossing the minimal bisection.
     ///
     /// For an `N×M` mesh cut across the longer dimension this is
     /// `2 · min(N, M)` (each cut link is a pair of opposed unidirectional
-    /// channels); a torus doubles it via the wrap links; a ring's bisection
-    /// is 4 (two bidirectional links).
+    /// channels).
     #[must_use]
     pub fn bisection_links(&self) -> usize {
-        match *self {
-            Topology::Mesh { cols, rows } => 2 * cols.min(rows),
-            Topology::Torus { cols, rows } => 4 * cols.min(rows),
-            Topology::Ring { .. } => 4,
-        }
+        2 * self.cols.min(self.rows)
     }
 
     /// All directed XP→XP links as `(from, dir, to)` triples.
@@ -248,11 +171,7 @@ impl Topology {
 
 impl fmt::Display for Topology {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match *self {
-            Topology::Mesh { cols, rows } => write!(f, "{cols}x{rows} mesh"),
-            Topology::Torus { cols, rows } => write!(f, "{cols}x{rows} torus"),
-            Topology::Ring { nodes } => write!(f, "{nodes}-node ring"),
-        }
+        write!(f, "{}x{} mesh", self.cols, self.rows)
     }
 }
 
@@ -282,20 +201,18 @@ mod tests {
     }
 
     #[test]
-    fn torus_wraps() {
-        let t = Topology::Torus { cols: 4, rows: 4 };
-        assert_eq!(t.neighbor(0, Dir::North), Some(12));
-        assert_eq!(t.neighbor(0, Dir::West), Some(3));
-        assert_eq!(t.neighbor(3, Dir::East), Some(0));
-    }
-
-    #[test]
-    fn ring_has_two_neighbors() {
-        let t = Topology::Ring { nodes: 8 };
+    fn one_row_mesh_is_a_chain() {
+        let t = Topology { cols: 8, rows: 1 };
         assert_eq!(t.neighbor(0, Dir::East), Some(1));
-        assert_eq!(t.neighbor(0, Dir::West), Some(7));
-        assert_eq!(t.neighbor(0, Dir::North), None);
-        assert_eq!(t.neighbor(0, Dir::South), None);
+        assert_eq!(t.neighbor(0, Dir::West), None);
+        assert_eq!(t.neighbor(7, Dir::East), None);
+        assert_eq!(t.neighbor(7, Dir::West), Some(6));
+        for node in 0..8 {
+            assert_eq!(t.neighbor(node, Dir::North), None);
+            assert_eq!(t.neighbor(node, Dir::South), None);
+        }
+        assert_eq!(t.hop_distance(0, 7), 7);
+        assert_eq!(t.links().len(), 14);
     }
 
     #[test]
@@ -307,25 +224,11 @@ mod tests {
     }
 
     #[test]
-    fn hop_distance_torus_wraps() {
-        let t = Topology::Torus { cols: 4, rows: 4 };
-        assert_eq!(t.hop_distance(0, 3), 1); // wrap in x
-        assert_eq!(t.hop_distance(0, 15), 2); // wrap both
-    }
-
-    #[test]
-    fn hop_distance_ring() {
-        let t = Topology::Ring { nodes: 8 };
-        assert_eq!(t.hop_distance(0, 7), 1);
-        assert_eq!(t.hop_distance(0, 4), 4);
-    }
-
-    #[test]
     fn bisection_link_counts() {
         assert_eq!(Topology::mesh2x2().bisection_links(), 4);
         assert_eq!(Topology::mesh4x4().bisection_links(), 8);
-        assert_eq!(Topology::Torus { cols: 4, rows: 4 }.bisection_links(), 16);
-        assert_eq!(Topology::Ring { nodes: 8 }.bisection_links(), 4);
+        assert_eq!(Topology { cols: 8, rows: 2 }.bisection_links(), 4);
+        assert_eq!(Topology { cols: 16, rows: 1 }.bisection_links(), 2);
     }
 
     #[test]
@@ -333,8 +236,8 @@ mod tests {
         for t in [
             Topology::mesh2x2(),
             Topology::mesh4x4(),
-            Topology::Torus { cols: 3, rows: 3 },
-            Topology::Ring { nodes: 5 },
+            Topology { cols: 3, rows: 3 },
+            Topology { cols: 5, rows: 1 },
         ] {
             let links = t.links();
             for &(a, d, b) in &links {
@@ -362,8 +265,16 @@ mod tests {
     #[test]
     fn validity() {
         assert!(Topology::mesh2x2().is_valid());
-        assert!(!Topology::Mesh { cols: 1, rows: 1 }.is_valid());
-        assert!(!Topology::Torus { cols: 2, rows: 2 }.is_valid());
-        assert!(Topology::Ring { nodes: 2 }.is_valid());
+        assert!(Topology { cols: 2, rows: 1 }.is_valid());
+        assert!(Topology { cols: 1, rows: 2 }.is_valid());
+        assert!(!Topology { cols: 1, rows: 1 }.is_valid());
+        assert!(!Topology { cols: 4, rows: 0 }.is_valid());
+        assert!(!Topology { cols: 0, rows: 4 }.is_valid());
+    }
+
+    #[test]
+    fn display_names_the_shape() {
+        assert_eq!(Topology::mesh4x4().to_string(), "4x4 mesh");
+        assert_eq!(Topology { cols: 16, rows: 1 }.to_string(), "16x1 mesh");
     }
 }

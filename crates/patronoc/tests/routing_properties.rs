@@ -1,7 +1,7 @@
 //! Property-based tests of the routing layer: every route terminates at
 //! its destination, dimension order is respected, connectivity matrices
-//! cover exactly the turns routes take, and every supported
-//! (topology, algorithm) pair is deadlock-free.
+//! cover exactly the turns routes take, and every (mesh, algorithm) pair
+//! is deadlock-free.
 
 use patronoc::routing::{
     next_hop, route, routing_table, validate_deadlock_free, xp_connectivity, Connectivity,
@@ -14,9 +14,8 @@ fn topologies() -> impl Strategy<Value = Topology> {
     prop_oneof![
         (1usize..=6, 1usize..=6)
             .prop_filter("at least two nodes", |&(c, r)| c * r >= 2)
-            .prop_map(|(c, r)| Topology::Mesh { cols: c, rows: r }),
-        (3usize..=5, 3usize..=5).prop_map(|(c, r)| Topology::Torus { cols: c, rows: r }),
-        (2usize..=10).prop_map(|n| Topology::Ring { nodes: n }),
+            .prop_map(|(cols, rows)| Topology { cols, rows }),
+        (2usize..=10).prop_map(|cols| Topology { cols, rows: 1 }),
     ]
 }
 
@@ -46,8 +45,7 @@ proptest! {
         prop_assert_eq!(next_hop(topo, algo, dst, dst), None);
     }
 
-    /// Mesh routes are minimal; torus/ring chain routes never exceed the
-    /// linear distance.
+    /// Routes are minimal: as long as the Manhattan distance.
     #[test]
     fn route_lengths_are_bounded(
         topo in topologies(),
@@ -57,13 +55,7 @@ proptest! {
         let n = topo.num_nodes();
         let (src, dst) = (pair.0 % n, pair.1 % n);
         let len = route(topo, algo, src, dst).len();
-        match topo {
-            Topology::Mesh { .. } => prop_assert_eq!(len, topo.hop_distance(src, dst)),
-            // Chain routing: bounded by the sum of per-dimension linear
-            // distances (may exceed the wrap distance by design).
-            Topology::Torus { cols, rows } => prop_assert!(len <= (cols - 1) + (rows - 1)),
-            Topology::Ring { nodes } => prop_assert!(len < nodes),
-        }
+        prop_assert_eq!(len, topo.hop_distance(src, dst));
     }
 
     /// Dimension order holds on the mesh: under YX, no Y move follows an
@@ -74,7 +66,7 @@ proptest! {
         rows in 2usize..=6,
         pair in (0usize..64, 0usize..64),
     ) {
-        let topo = Topology::Mesh { cols, rows };
+        let topo = Topology { cols, rows };
         let n = topo.num_nodes();
         let (src, dst) = (pair.0 % n, pair.1 % n);
         let is_y = |d: &Dir| matches!(d, Dir::North | Dir::South);
@@ -124,7 +116,7 @@ proptest! {
         }
     }
 
-    /// Every supported pair is deadlock-free.
+    /// Every mesh is deadlock-free under both dimension orders.
     #[test]
     fn all_supported_routing_is_deadlock_free(
         topo in topologies(),

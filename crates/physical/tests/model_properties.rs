@@ -22,7 +22,7 @@ fn axi_params() -> impl Strategy<Value = AxiParams> {
 fn meshes() -> impl Strategy<Value = Topology> {
     (1usize..=8, 1usize..=8)
         .prop_filter("≥ 2 nodes", |&(c, r)| c * r >= 2)
-        .prop_map(|(c, r)| Topology::Mesh { cols: c, rows: r })
+        .prop_map(|(c, r)| Topology { cols: c, rows: r })
 }
 
 proptest! {

@@ -18,8 +18,9 @@
 //!   values are made of.
 //!
 //! Sweep grids become grids of `Scenario` values (see `bench::sweep`), and
-//! a serialized scenario is the unit of work a trace-replay service would
-//! accept — the scale-out direction ROADMAP names.
+//! a serialized scenario is a whole run as data: the `.e2e` benchmark's
+//! workloads are such documents, and any untrusted one is refused with a
+//! [`ScenarioError`] rather than a panic.
 //!
 //! ```
 //! use scenario::{PacketProfile, Scenario, TrafficSpec};

@@ -16,10 +16,6 @@ use traffic::{
 pub enum ScenarioError {
     /// The AXI parameters or NoC configuration failed validation.
     Config(ConfigError),
-    /// The packet baseline only models 2D meshes.
-    PacketNeedsMesh(Topology),
-    /// Synthetic patterns place their slaves on a 2D mesh.
-    SyntheticNeedsMesh(Topology),
     /// Neither a measurement window nor a cycle budget was given.
     NoStopCondition,
     /// The requested probe needs a different engine (e.g.
@@ -29,9 +25,10 @@ pub enum ScenarioError {
     /// JSON, a missing key, a wrong type or an unknown label.
     Parse(String),
     /// A well-formed scenario asks for something its engine or workload
-    /// cannot model: zero load, a DNN trace of zero steps, a mesh too
-    /// small for the engine or the traffic pattern, a hop-limited pattern
-    /// that leaves a master no slave in reach, zero threads.
+    /// cannot model: zero load, a DNN trace of zero steps, transfers
+    /// larger than a region, a mesh too small for the engine or the
+    /// traffic pattern, a hop-limited pattern that leaves a master no
+    /// slave in reach, zero threads.
     Invalid(String),
 }
 
@@ -39,15 +36,6 @@ impl fmt::Display for ScenarioError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Self::Config(e) => write!(f, "invalid configuration: {e}"),
-            Self::PacketNeedsMesh(t) => {
-                write!(f, "the packet baseline only models 2D meshes, got {t}")
-            }
-            Self::SyntheticNeedsMesh(t) => {
-                write!(
-                    f,
-                    "synthetic patterns place their slaves on a 2D mesh, got {t}"
-                )
-            }
             Self::NoStopCondition => {
                 write!(
                     f,
@@ -78,9 +66,10 @@ impl From<ConfigError> for ScenarioError {
 /// the traffic spec (all nodes host masters; synthetic patterns place
 /// their own slaves), so the same scenario re-targets any mesh size
 /// without touching per-figure plumbing. A scenario serializes to JSON
-/// via [`to_json`](Self::to_json), which is what makes sweep grids and
-/// the future trace-replay service shippable: a run's complete recipe is
-/// data, not code.
+/// via [`to_json`](Self::to_json) and parses back via
+/// [`from_json`](Self::from_json), which is what makes sweep grids and
+/// the end-to-end benchmark's workload documents shippable: a run's
+/// complete recipe is data, not code.
 ///
 /// ```
 /// use scenario::{Scenario, TrafficSpec};
@@ -101,7 +90,7 @@ impl From<ConfigError> for ScenarioError {
 pub struct Scenario {
     /// Which engine simulates.
     pub engine: EngineSpec,
-    /// NoC topology (packet scenarios require a mesh).
+    /// NoC topology; the packet baseline builds a mesh of the same shape.
     pub topology: Topology,
     /// AXI address width in bits.
     pub addr_width: u32,
@@ -312,14 +301,6 @@ impl Scenario {
         self.topology.num_nodes()
     }
 
-    /// The mesh dimensions, when the topology is a mesh.
-    fn mesh_dims(&self) -> Option<(usize, usize)> {
-        match self.topology {
-            Topology::Mesh { cols, rows } => Some((cols, rows)),
-            _ => None,
-        }
-    }
-
     /// Payload bytes one injection slot carries: DW/8 for PATRONoC, one
     /// flit for the packet baseline (what "load 1.0" means per engine).
     #[must_use]
@@ -335,17 +316,13 @@ impl Scenario {
     ///
     /// # Panics
     ///
-    /// Panics if a synthetic pattern is paired with a non-mesh topology
-    /// smaller than the pattern's 3×3 minimum (the pattern placement
-    /// itself asserts).
+    /// Panics if a synthetic pattern is paired with a mesh smaller than
+    /// the pattern's 3×3 minimum (the pattern placement itself asserts).
     #[must_use]
     pub fn slave_nodes(&self) -> Vec<usize> {
         match self.traffic {
             TrafficSpec::Synthetic { pattern, .. } => {
-                let (cols, rows) = self
-                    .mesh_dims()
-                    .expect("synthetic patterns are defined on meshes");
-                pattern.slave_nodes(cols, rows)
+                pattern.slave_nodes(self.topology.cols, self.topology.rows)
             }
             _ => (0..self.num_nodes()).collect(),
         }
@@ -384,9 +361,7 @@ impl Scenario {
     /// The mesh a synthetic pattern is placed on, checked against what
     /// [`traffic::SyntheticPattern::slave_nodes`] asserts.
     fn synthetic_mesh(&self) -> Result<(usize, usize), ScenarioError> {
-        let (cols, rows) = self
-            .mesh_dims()
-            .ok_or(ScenarioError::SyntheticNeedsMesh(self.topology))?;
+        let Topology { cols, rows } = self.topology;
         if cols < 3 || rows < 3 {
             return Err(ScenarioError::Invalid(format!(
                 "synthetic patterns need at least a 3x3 mesh, got {cols}x{rows}"
@@ -436,7 +411,17 @@ impl Scenario {
                          {RESNET34_LAYERS} cores, got {cores}"
                     ))
                 } else {
-                    Ok(())
+                    let largest = workload.largest_transfer(cores);
+                    if largest > self.region_size {
+                        invalid(format!(
+                            "the {} trace on {cores} cores moves {largest} bytes in one \
+                             transfer, more than the {}-byte region",
+                            workload.name(),
+                            self.region_size
+                        ))
+                    } else {
+                        Ok(())
+                    }
                 }
             }
         }
@@ -476,16 +461,12 @@ impl Scenario {
     /// # Errors
     ///
     /// [`ScenarioError::Config`] for invalid parameters;
-    /// [`ScenarioError::PacketNeedsMesh`] for a packet scenario on a
-    /// non-mesh topology; [`ScenarioError::SyntheticNeedsMesh`] for a
-    /// synthetic pattern off a mesh; [`ScenarioError::Invalid`] for a
-    /// topology [`Topology::is_valid`] rejects, or a spec the engine or
-    /// the traffic source cannot model.
+    /// [`ScenarioError::Invalid`] for a topology [`Topology::is_valid`]
+    /// rejects, or a spec the engine or the traffic source cannot model.
     pub fn build_engine(&self) -> Result<Box<dyn Engine>, ScenarioError> {
         if !self.topology.is_valid() {
             return Err(ScenarioError::Invalid(format!(
-                "a {} is not a valid topology: a mesh or ring needs at least two \
-                 nodes, a torus at least 3x3",
+                "a {} is not a valid topology: a mesh needs at least two nodes",
                 self.topology
             )));
         }
@@ -493,10 +474,8 @@ impl Scenario {
         match self.engine {
             EngineSpec::Patronoc => Ok(Box::new(self.build_noc_sim()?)),
             EngineSpec::Packet(profile) => {
-                let (cols, rows) = self
-                    .mesh_dims()
-                    .ok_or(ScenarioError::PacketNeedsMesh(self.topology))?;
-                if cols < 2 || rows == 0 || self.threads == 0 {
+                let Topology { cols, rows } = self.topology;
+                if cols < 2 || self.threads == 0 {
                     return Err(ScenarioError::Invalid(format!(
                         "the packet baseline needs at least a 2x1 mesh and one thread, \
                          got {cols}x{rows} and {} threads",
@@ -552,22 +531,17 @@ impl Scenario {
                 load,
                 max_transfer,
                 read_fraction,
-            } => {
-                let (cols, rows) = self
-                    .mesh_dims()
-                    .expect("synthetic patterns are defined on meshes");
-                Box::new(SyntheticTraffic::new(SyntheticConfig {
-                    cols,
-                    rows,
-                    pattern,
-                    load,
-                    bytes_per_cycle: self.bytes_per_cycle(),
-                    max_transfer,
-                    read_fraction,
-                    region_size: self.region_size,
-                    seed: self.seed,
-                }))
-            }
+            } => Box::new(SyntheticTraffic::new(SyntheticConfig {
+                cols: self.topology.cols,
+                rows: self.topology.rows,
+                pattern,
+                load,
+                bytes_per_cycle: self.bytes_per_cycle(),
+                max_transfer,
+                read_fraction,
+                region_size: self.region_size,
+                seed: self.seed,
+            })),
             TrafficSpec::Dnn { .. } => {
                 Box::new(self.build_dnn_trace().expect("traffic is a DNN trace"))
             }
@@ -579,7 +553,7 @@ impl Scenario {
     /// fraction) the `TrafficSource` trait does not carry. `None` for
     /// other traffic specs. Core count and the shared-L2 node derive from
     /// the scenario's topology (every node is a core; the L2 sits at the
-    /// Fig. 5a center endpoint of a mesh/torus, the midpoint of a ring).
+    /// Fig. 5a center endpoint of the mesh).
     #[must_use]
     pub fn build_dnn_trace(&self) -> Option<DnnTraffic> {
         match self.traffic {
@@ -599,16 +573,12 @@ impl Scenario {
     }
 
     /// The node hosting the shared L2 for DNN traffic: endpoint
-    /// `(cols/2, (rows-1)/2)` of a mesh or torus — node 6 on the 4×4,
-    /// matching Fig. 5a and the all-global synthetic slave — or the
-    /// midpoint of a ring.
+    /// `(cols/2, (rows-1)/2)` of the mesh — node 6 on the 4×4, matching
+    /// Fig. 5a and the all-global synthetic slave, and the midpoint of a
+    /// one-row mesh.
     fn l2_node(&self) -> usize {
-        match self.topology {
-            Topology::Mesh { cols, rows } | Topology::Torus { cols, rows } => {
-                ((rows - 1) / 2) * cols + cols / 2
-            }
-            Topology::Ring { nodes } => nodes / 2,
-        }
+        let Topology { cols, rows } = self.topology;
+        ((rows - 1) / 2) * cols + cols / 2
     }
 
     /// Executes the scenario and returns the unified report.
@@ -634,8 +604,8 @@ impl Scenario {
 
     /// Executes the scenario against a caller-provided traffic source —
     /// same engine, stop condition and report handling as
-    /// [`run`](Self::run), for callers that need to keep the source (a
-    /// pre-built trace, a replay-service stream) after the run.
+    /// [`run`](Self::run), for callers that need to keep the source after
+    /// the run (a pre-built trace whose size they report).
     ///
     /// # Errors
     ///
@@ -688,16 +658,9 @@ impl Scenario {
                 })
             };
             match parse(get_str(t, "kind"))? {
-                "mesh" => Topology::Mesh {
+                "mesh" => Topology {
                     cols: parse(dim("cols"))?,
                     rows: parse(dim("rows"))?,
-                },
-                "torus" => Topology::Torus {
-                    cols: parse(dim("cols"))?,
-                    rows: parse(dim("rows"))?,
-                },
-                "ring" => Topology::Ring {
-                    nodes: parse(dim("nodes"))?,
                 },
                 other => {
                     return Err(ScenarioError::Parse(format!(
@@ -776,8 +739,10 @@ impl Scenario {
         })
     }
 
-    /// Parses a scenario straight from JSON text — what a trace-replay
-    /// service would call on an incoming request body.
+    /// Parses a scenario straight from JSON text: a sweep grid's point, an
+    /// `.e2e` workload document, or any untrusted input (a document that
+    /// asks for what the engines cannot model is refused when built, see
+    /// [`build_engine`](Self::build_engine)).
     ///
     /// # Errors
     ///
@@ -788,26 +753,16 @@ impl Scenario {
         Self::from_json(&v)
     }
 
-    /// Serializes the complete run recipe as a JSON object — the artifact
-    /// format sweep grids and the trace-replay service exchange.
+    /// Serializes the complete run recipe as a JSON object — the format
+    /// of sweep grids' per-point records and of the `.e2e` workload
+    /// documents.
     #[must_use]
     pub fn to_json(&self) -> Json {
-        let topology = match self.topology {
-            Topology::Mesh { cols, rows } => Json::obj(vec![
-                ("kind", Json::str("mesh")),
-                ("cols", Json::U64(cols as u64)),
-                ("rows", Json::U64(rows as u64)),
-            ]),
-            Topology::Torus { cols, rows } => Json::obj(vec![
-                ("kind", Json::str("torus")),
-                ("cols", Json::U64(cols as u64)),
-                ("rows", Json::U64(rows as u64)),
-            ]),
-            Topology::Ring { nodes } => Json::obj(vec![
-                ("kind", Json::str("ring")),
-                ("nodes", Json::U64(nodes as u64)),
-            ]),
-        };
+        let topology = Json::obj(vec![
+            ("kind", Json::str("mesh")),
+            ("cols", Json::U64(self.topology.cols as u64)),
+            ("rows", Json::U64(self.topology.rows as u64)),
+        ]);
         Json::obj(vec![
             ("engine", self.engine.to_json()),
             ("topology", topology),
@@ -896,14 +851,35 @@ mod tests {
     }
 
     #[test]
-    fn synthetic_on_non_mesh_reports_the_right_error() {
-        let err = Scenario::patronoc()
-            .topology(Topology::Ring { nodes: 9 })
-            .traffic(TrafficSpec::synthetic(SyntheticPattern::AllGlobal, 1000))
-            .window(1_000)
-            .run()
-            .unwrap_err();
-        assert!(matches!(err, ScenarioError::SyntheticNeedsMesh(_)), "{err}");
+    fn the_l2_sits_mid_row_on_a_one_row_mesh() {
+        // Par Conv moves every byte between a core and the L2, so its
+        // core-to-core share is zero exactly at the L2 node.
+        let trace = Scenario::patronoc()
+            .topology(Topology { cols: 16, rows: 1 })
+            .traffic(TrafficSpec::dnn(traffic::DnnWorkload::ParallelConv, 1))
+            .build_dnn_trace()
+            .unwrap();
+        assert_eq!(trace.core_to_core_fraction(8), 0.0);
+        assert!(trace.core_to_core_fraction(6) > 0.0);
+    }
+
+    #[test]
+    fn dnn_transfers_may_fill_a_region_exactly() {
+        // Train's largest transfer is the 150,528-byte input image.
+        let fits = Scenario::patronoc()
+            .traffic(TrafficSpec::dnn(
+                traffic::DnnWorkload::DistributedTraining,
+                1,
+            ))
+            .region_size(150_528)
+            .budget(1_000);
+        assert!(fits.build_engine().is_ok());
+        let _ = fits.build_source();
+        let err = fits.region_size(150_527).build_engine().err();
+        assert!(
+            matches!(err, Some(ScenarioError::Invalid(_))),
+            "wrong outcome {err:?}"
+        );
     }
 
     #[test]
@@ -915,18 +891,8 @@ mod tests {
     }
 
     #[test]
-    fn packet_scenarios_need_meshes() {
-        let err = Scenario::packet(PacketProfile::Compact)
-            .topology(Topology::Ring { nodes: 8 })
-            .window(1_000)
-            .run()
-            .unwrap_err();
-        assert!(matches!(err, ScenarioError::PacketNeedsMesh(_)));
-    }
-
-    #[test]
     fn masters_and_slaves_derive_from_topology() {
-        let sc = Scenario::patronoc().topology(Topology::Mesh { cols: 3, rows: 5 });
+        let sc = Scenario::patronoc().topology(Topology { cols: 3, rows: 5 });
         assert_eq!(sc.num_nodes(), 15);
         assert_eq!(sc.slave_nodes(), (0..15).collect::<Vec<_>>());
         let cfg = sc.noc_config().unwrap();
@@ -943,9 +909,9 @@ mod tests {
     }
 
     #[test]
-    fn packet_engine_inherits_mesh_dims() {
+    fn packet_engine_inherits_the_mesh_shape() {
         let sc = Scenario::packet(PacketProfile::HighPerformance)
-            .topology(Topology::Mesh { cols: 3, rows: 3 })
+            .topology(Topology { cols: 3, rows: 3 })
             .traffic(TrafficSpec::uniform(0.5, 64))
             .window(2_000)
             .seed(9);

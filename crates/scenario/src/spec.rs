@@ -369,6 +369,26 @@ mod tests {
     }
 
     #[test]
+    fn scenarios_naming_removed_topology_kinds_are_refused() {
+        use crate::{Scenario, ScenarioError};
+        let doc = Scenario::patronoc().window(1_000).to_json().to_json();
+        assert!(Scenario::from_json_str(&doc).is_ok());
+        for (kind, dims) in [("torus", "\"cols\":4,\"rows\":4"), ("ring", "\"nodes\":16")] {
+            let text = doc.replace(
+                "{\"kind\":\"mesh\",\"cols\":4,\"rows\":4}",
+                &format!("{{\"kind\":\"{kind}\",{dims}}}"),
+            );
+            assert_ne!(text, doc, "the topology was not substituted");
+            match Scenario::from_json_str(&text) {
+                Err(ScenarioError::Parse(why)) => {
+                    assert!(why.contains(kind), "`{why}` does not name `{kind}`");
+                }
+                other => panic!("`{kind}` not refused as a parse error: {other:?}"),
+            }
+        }
+    }
+
+    #[test]
     fn specs_serialize() {
         assert_eq!(EngineSpec::Patronoc.to_json().to_json(), "\"patronoc\"");
         let json = TrafficSpec::dnn(DnnWorkload::PipelinedConv, 2)

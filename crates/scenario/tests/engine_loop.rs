@@ -232,11 +232,11 @@ fn reports_name_the_threads_that_ran() {
     mesh_cfg.threads = 8;
     let mut mesh: Box<dyn Engine> = Box::new(NocSim::new(mesh_cfg).unwrap());
     assert_eq!(mesh.run(&mut OneEach::closed(16), 10, 0).threads, 4);
-    // A ring is one row: it never shards, whatever was asked for.
-    let mut ring_cfg = NocConfig::new(axi::AxiParams::slim(), Topology::Ring { nodes: 8 });
-    ring_cfg.threads = 4;
-    let mut ring: Box<dyn Engine> = Box::new(NocSim::new(ring_cfg).unwrap());
-    assert_eq!(ring.run(&mut OneEach::closed(8), 10, 0).threads, 1);
+    // A one-row mesh never shards, whatever was asked for.
+    let mut row_cfg = NocConfig::new(axi::AxiParams::slim(), Topology { cols: 8, rows: 1 });
+    row_cfg.threads = 4;
+    let mut row: Box<dyn Engine> = Box::new(NocSim::new(row_cfg).unwrap());
+    assert_eq!(row.run(&mut OneEach::closed(8), 10, 0).threads, 1);
     // The packet baseline partitions its rows the same way.
     let mut packet: Box<dyn Engine> = Box::new(PacketNocSim::new(PacketNocConfig {
         threads: 8,

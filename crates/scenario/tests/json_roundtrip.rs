@@ -1,8 +1,8 @@
 //! The `Scenario` serialize/deserialize round trip, property-tested:
 //! `from_json(to_json(s)) == s` for arbitrary scenarios, and the
-//! serialized text is a fixpoint of `to_json → parse → to_json` (the
-//! contract a trace-replay service needs to echo back exactly what it
-//! received). Untrusted documents never panic: one that parses but asks
+//! serialized text is a fixpoint of `to_json → parse → to_json` (so sweep
+//! grids' records and the `.e2e` workload documents read back exactly as
+//! written). Untrusted documents never panic: one that parses but asks
 //! for something the engines cannot model is a `ScenarioError`, and so
 //! is every truncated or single-byte-mutated document that is not still
 //! a valid scenario.
@@ -21,9 +21,8 @@ fn engine_strategy() -> impl Strategy<Value = EngineSpec> {
 
 fn topology_strategy() -> impl Strategy<Value = patronoc::Topology> {
     prop_oneof![
-        (2usize..6, 2usize..6).prop_map(|(cols, rows)| patronoc::Topology::Mesh { cols, rows }),
-        (2usize..6, 2usize..6).prop_map(|(cols, rows)| patronoc::Topology::Torus { cols, rows }),
-        (2usize..12).prop_map(|nodes| patronoc::Topology::Ring { nodes }),
+        (2usize..6, 2usize..6).prop_map(|(cols, rows)| patronoc::Topology { cols, rows }),
+        (2usize..12).prop_map(|cols| patronoc::Topology { cols, rows: 1 }),
     ]
 }
 
@@ -207,7 +206,7 @@ fn a_deserialized_scenario_runs_identically() {
 fn unmodellable_scenarios() -> Vec<(&'static str, Scenario)> {
     use patronoc::Topology;
     use traffic::{DnnWorkload, SyntheticPattern};
-    let mesh = |cols, rows| Topology::Mesh { cols, rows };
+    let mesh = |cols, rows| Topology { cols, rows };
     let synthetic = |pattern, load| TrafficSpec::Synthetic {
         pattern,
         load,
@@ -302,6 +301,14 @@ fn unmodellable_scenarios() -> Vec<(&'static str, Scenario)> {
             dnn(DnnWorkload::PipelinedConv, 1).topology(mesh(9, 4)),
         ),
         (
+            "DNN transfers larger than a region (Par Conv)",
+            dnn(DnnWorkload::ParallelConv, 1).region_size(4096),
+        ),
+        (
+            "DNN transfers larger than a region (Train)",
+            dnn(DnnWorkload::DistributedTraining, 1).region_size(150_527),
+        ),
+        (
             "packet mesh of 1 column",
             packet.clone().topology(mesh(1, 4)),
         ),
@@ -351,13 +358,13 @@ fn every_mutated_document_fails_to_parse_is_refused_or_builds() {
     let docs = [
         (
             Scenario::patronoc()
-                .topology(Topology::Mesh { cols: 3, rows: 3 })
+                .topology(Topology { cols: 3, rows: 3 })
                 .traffic(TrafficSpec::synthetic(SyntheticPattern::MaxTwoHop, 100)),
             &["threads", "full_sweep"][..],
         ),
         (
             Scenario::packet(PacketProfile::Compact)
-                .topology(Topology::Mesh { cols: 2, rows: 2 })
+                .topology(Topology { cols: 2, rows: 2 })
                 .traffic(TrafficSpec::uniform(0.5, 100)),
             &["full_sweep"][..],
         ),

@@ -12,8 +12,8 @@
 //!
 //! [`Json::parse`] is the recursive-descent reader that closes the
 //! round trip (`to_json → parse → to_json` is a fixpoint): it is what
-//! lets a serialized `Scenario` come back as a value — the unit of work a
-//! trace-replay service accepts.
+//! lets a serialized `Scenario` come back as a value — a sweep grid's
+//! point, an `.e2e` workload document, or untrusted input.
 
 use std::fmt::{self, Write as _};
 use std::io;
@@ -340,8 +340,8 @@ impl Parser<'_> {
 
     /// Numbers follow the JSON grammar exactly — no leading zeros, a
     /// fraction/exponent must carry at least one digit — so every input
-    /// accepted here is accepted by any conforming validator too (this is
-    /// the request-parsing path of a future replay service).
+    /// accepted here is accepted by any conforming validator too (untrusted
+    /// scenario documents come through here).
     fn number(&mut self) -> Result<Json, ParseError> {
         let start = self.pos;
         let mut integral = true;

@@ -191,10 +191,78 @@ impl DnnWorkload {
             Self::DistributedTraining | Self::ParallelConv => 0.1,
         }
     }
+
+    /// The largest transfer of this workload's trace on `cores` cores, in
+    /// bytes, at any step count: the least region size the trace fits.
+    /// It follows the builders' layer formulas without building the trace.
+    ///
+    /// # Panics
+    ///
+    /// Panics on fewer than two cores, or on more pipeline stages than
+    /// ResNet-34 layers.
+    #[must_use]
+    pub fn largest_transfer(self, cores: usize) -> u64 {
+        assert!(cores >= 2, "need at least two cores");
+        let layers = resnet34_layers(self.channel_scale());
+        let p = cores as u64;
+        // Folding from 1: `push` gives every entry at least one byte.
+        match self {
+            Self::ParallelConv => layers
+                .iter()
+                .flat_map(|l| [l.ifmap_bytes() / p, l.weight_bytes(), l.ofmap_bytes() / p])
+                .fold(1, u64::max),
+            Self::DistributedTraining => layers
+                .iter()
+                .map(ConvLayer::weight_bytes)
+                .chain([layers[0].ifmap_bytes(), gradient_chunk(&layers, cores)])
+                .fold(1, u64::max),
+            Self::PipelinedConv => boundary_bytes(&layers, cores)
+                .into_iter()
+                .chain([layers[0].ifmap_bytes()])
+                .map(|bytes| bytes / PIPELINE_TILES)
+                .fold(1, u64::max),
+        }
+    }
 }
 
 /// Row tiles each image is cut into by the pipelined schedule.
 const PIPELINE_TILES: u64 = 8;
+
+/// The bytes of one ring all-reduce write: each core's share of the
+/// gradients of every layer.
+fn gradient_chunk(layers: &[ConvLayer], cores: usize) -> u64 {
+    let grad_bytes: u64 = layers.iter().map(ConvLayer::weight_bytes).sum();
+    (grad_bytes / cores as u64).max(1)
+}
+
+/// The bytes each pipeline stage ships per image, stage by stage.
+///
+/// Stages own balanced contiguous layer ranges: stage s owns
+/// layers[s·L/p .. (s+1)·L/p), never empty for L ≥ p. A stage ships the
+/// *input* feature map of the next stage's first layer (this accounts for
+/// pooling between layer groups — e.g. the post-conv1 max-pool — which the
+/// sender applies before shipping); the last stage writes its own final
+/// output to L2.
+///
+/// # Panics
+///
+/// Panics if there are more stages than layers.
+fn boundary_bytes(layers: &[ConvLayer], stages: usize) -> Vec<u64> {
+    assert!(
+        stages <= layers.len(),
+        "pipeline needs at least one layer per core"
+    );
+    (1..=stages)
+        .map(|next| {
+            let first = next * layers.len() / stages;
+            if next < stages {
+                layers[first].ifmap_bytes()
+            } else {
+                layers[first - 1].ofmap_bytes()
+            }
+        })
+        .collect()
+}
 
 /// Configuration for [`DnnTraffic`].
 #[derive(Debug, Clone)]
@@ -293,7 +361,9 @@ impl DnnTraffic {
     /// # Panics
     ///
     /// Panics on degenerate configurations (fewer than two cores, zero
-    /// steps, or more pipeline stages than ResNet-34 layers).
+    /// steps, or more pipeline stages than ResNet-34 layers) and on a
+    /// transfer larger than `region_size` (see
+    /// [`DnnWorkload::largest_transfer`]).
     #[must_use]
     pub fn new(cfg: &DnnConfig) -> Self {
         assert!(cfg.cores >= 2, "need at least two cores");
@@ -304,6 +374,10 @@ impl DnnTraffic {
             DnnWorkload::DistributedTraining => Self::build_training(cfg, &layers),
             DnnWorkload::PipelinedConv => Self::build_pipeline(cfg, &layers),
         };
+        assert!(
+            entries.iter().all(|e| e.bytes <= cfg.region_size),
+            "transfers must fit in a region"
+        );
         let mut cores = vec![CoreQueue::default(); cfg.cores];
         for (i, e) in entries.iter().enumerate() {
             cores[e.master].entries.push(i as u32);
@@ -350,8 +424,7 @@ impl DnnTraffic {
     /// L2 plus a ring reduce-scatter + all-gather of gradients (Fig. 7a).
     fn build_training(cfg: &DnnConfig, layers: &[ConvLayer]) -> Vec<TraceEntry> {
         let p = cfg.cores;
-        let grad_bytes: u64 = layers.iter().map(ConvLayer::weight_bytes).sum();
-        let chunk = (grad_bytes / p as u64).max(1);
+        let chunk = gradient_chunk(layers, p);
         let mut trace = Vec::new();
         for _step in 0..cfg.steps {
             // Forward: input batch, then the weights layer by layer; backward:
@@ -379,26 +452,7 @@ impl DnnTraffic {
     /// so the trace carries activations only.
     fn build_pipeline(cfg: &DnnConfig, layers: &[ConvLayer]) -> Vec<TraceEntry> {
         let p = cfg.cores;
-        assert!(
-            p <= layers.len(),
-            "pipeline needs at least one layer per core"
-        );
-        // Balanced contiguous layer ranges: stage s owns
-        // layers[s·L/p .. (s+1)·L/p), never empty for L ≥ p. A stage ships
-        // the *input* feature map of the next stage's first layer (this
-        // accounts for pooling between layer groups — e.g. the post-conv1
-        // max-pool — which the sender applies before shipping); the last
-        // stage writes its own final output to L2.
-        let boundary_bytes: Vec<u64> = (1..=p)
-            .map(|next| {
-                let first = next * layers.len() / p;
-                if next < p {
-                    layers[first].ifmap_bytes()
-                } else {
-                    layers[first - 1].ofmap_bytes()
-                }
-            })
-            .collect();
+        let boundary_bytes = boundary_bytes(layers, p);
         let mut trace = Vec::new();
         for _step in 0..cfg.steps {
             for _tile in 0..PIPELINE_TILES {
@@ -653,6 +707,44 @@ mod tests {
         let t = DnnTraffic::new(&cfg);
         let (done, _) = run_trace_to_completion(t.clone());
         assert_eq!(done, t.len());
+    }
+
+    #[test]
+    fn largest_transfer_is_the_largest_built_entry() {
+        for workload in DnnWorkload::all() {
+            for cores in [2, 3, 4, 9, 16, 34] {
+                let t = DnnTraffic::new(&DnnConfig {
+                    workload,
+                    cores,
+                    l2_node: cores / 2,
+                    ..DnnConfig::default()
+                });
+                let built = t.entries.iter().map(|e| e.bytes).max();
+                assert_eq!(
+                    Some(workload.largest_transfer(cores)),
+                    built,
+                    "{workload:?} on {cores} cores"
+                );
+            }
+        }
+        // At 16 cores: the input image, the classifier's weights, and the
+        // pipeline's largest stage-to-stage tile.
+        assert_eq!(
+            DnnWorkload::DistributedTraining.largest_transfer(16),
+            150_528
+        );
+        assert_eq!(DnnWorkload::ParallelConv.largest_transfer(16), 51_000);
+        assert_eq!(DnnWorkload::PipelinedConv.largest_transfer(16), 22_736);
+    }
+
+    #[test]
+    #[should_panic(expected = "transfers must fit in a region")]
+    fn transfers_larger_than_a_region_rejected() {
+        // Par Conv's classifier weights are 51,000 bytes.
+        let _ = DnnTraffic::new(&DnnConfig {
+            region_size: 4096,
+            ..DnnConfig::default()
+        });
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //!
 //! The paper's argument is a head-to-head comparison under identical
 //! workloads, so everything above the engines — scenario runners, sweep
-//! grids, the future trace-replay service — is generic over *which*
-//! engine simulates. The comparison is fair only if both engines stop,
+//! grids, the end-to-end benchmark — is generic over *which* engine
+//! simulates. The comparison is fair only if both engines stop,
 //! skip idle time and detect deadlock by the same rules, so those rules
 //! live here, once: `patronoc::NocSim` and `packetnoc::PacketNocSim`
 //! implement [`Engine`] and hand their own cycle function to [`drive`].
@@ -17,8 +17,8 @@ use simkit::{Cycle, Horizon, ProgressWatchdog, SimReport, StopReason};
 
 /// A cycle-accurate NoC simulation engine.
 ///
-/// Object-safe so scenarios and services can hold a `Box<dyn Engine>`
-/// chosen at run time. The contract:
+/// Object-safe so a scenario can hold a `Box<dyn Engine>` chosen at run
+/// time. The contract:
 ///
 /// * [`step`](Self::step) advances exactly one cycle, pulling stimulus
 ///   from the source and reporting completions back to it;

@@ -47,9 +47,8 @@ impl TrafficSource for Scripted {
 
 fn topology_strategy() -> impl Strategy<Value = Topology> {
     prop_oneof![
-        (2usize..=4, 2usize..=4).prop_map(|(c, r)| Topology::Mesh { cols: c, rows: r }),
-        (3usize..=4, 3usize..=4).prop_map(|(c, r)| Topology::Torus { cols: c, rows: r }),
-        (3usize..=8).prop_map(|n| Topology::Ring { nodes: n }),
+        (2usize..=4, 2usize..=4).prop_map(|(cols, rows)| Topology { cols, rows }),
+        (3usize..=8).prop_map(|cols| Topology { cols, rows: 1 }),
     ]
 }
 
